@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
+from . import __version__
 from .errors import PreconditionError, ThomaeError
 from .exact import ParamPairs, c_coefficients, sigma_coefficients
 from .polynomials import RationalPolynomial, build_G, build_Q, build_Qhat, find_zeros
@@ -630,7 +631,7 @@ def main(argv=None) -> int:
         "command": args.command,
         "inputs": config,
         "outputs": outputs,
-        "diagnostics": {"float_digits": FLOAT_DIGITS, "package_version": "0.1.0"},
+        "diagnostics": {"float_digits": FLOAT_DIGITS, "package_version": __version__},
     }
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2))

@@ -10,7 +10,9 @@ parameter pairs of a transformed series.  A simultaneous-iteration
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -76,13 +78,30 @@ class RationalPolynomial:
 
     __rmul__ = __mul__
 
+    @cached_property
+    def _integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """(D, integer coefficients in descending order) with self = poly / D."""
+        denominator = math.lcm(*(c.denominator for c in self.coefficients))
+        return denominator, tuple(
+            c.numerator * (denominator // c.denominator) for c in reversed(self.coefficients)
+        )
+
     def evaluate(self, t: RationalLike) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
+        """Exact Horner evaluation at a rational point.
+
+        Horner runs over integers: with t = p/q and D the common
+        denominator of the coefficients, the value is
+        (sum_i D c_i p^i q^(n-i)) / (D q^n), reduced once at the end.
+        """
         t = as_rational(t)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * t + c
-        return acc
+        p, q = t.numerator, t.denominator
+        denominator, coeffs = self._integer_form
+        acc = 0
+        q_power = 1
+        for c in coeffs:
+            acc = acc * p + c * q_power
+            q_power *= q
+        return Fraction(acc, denominator * q ** max(len(coeffs) - 1, 0))
 
     def divide_by_root(self, root: RationalLike) -> "RationalPolynomial":
         """Exact deflation by a known rational root: self / (t - root).
@@ -247,7 +266,8 @@ def find_zeros(
     Requires degree >= 1 and p(0) != 0.  Initial guesses sit on a circle of
     radius 1 + max|c_i / c_deg| with a fixed angular jitter.  On failure to
     converge within ``max_iterations`` a NonConvergenceError carrying the
-    best iterate is raised.
+    best iterate is raised; an iterate so large that its residual
+    overflows counts as not converged (residual inf).
     """
     if p.is_zero() or p.degree < 1:
         raise PreconditionError("degenerate_polynomial", "need degree >= 1")
@@ -273,8 +293,11 @@ def find_zeros(
 
     def relative_residual(z: complex) -> float:
         val, _ = horner_with_derivative(z)
-        scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs))
-        return abs(val) / scale if scale else abs(val)
+        try:
+            scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs))
+            return abs(val) / scale if scale else abs(val)
+        except OverflowError:  # an iterate too far out to judge: not converged
+            return math.inf
 
     converged = False
     iterations = 0

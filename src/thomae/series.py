@@ -10,13 +10,20 @@ else is summed in extended-precision floating point: geometric tail
 bounds for arguments inside the unit disk, and an asymptotic tail
 completion (fitted inverse powers combined with Hurwitz zeta values) at
 unit argument, where terms only decay like a power of the index.
+
+All numeric paths draw their terms from one recurrence.  At unit
+argument the term list is extended, not rebuilt, when the term budget
+doubles, and each budget's Hurwitz zeta values are computed once and
+shared by the tail fit and its lower-order check.  None of this changes
+a bit of any result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from itertools import islice
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from mpmath import mp, mpf
 
@@ -237,20 +244,29 @@ def _weight_zero_radius(weight: Optional[RationalPolynomial]) -> float:
     return 2.0 * bound
 
 
-def _term_ratio_bound(spec: AnySeries, k: int) -> float:
-    """Upper bound on |term_{k+1}/term_k| valid for large k."""
+def _term_ratio_bound(spec: AnySeries) -> Callable[[int], float]:
+    """k -> upper bound on |term_{k+1}/term_k|, valid for large k.
+
+    The parameter magnitude and the weight's zero radius are computed
+    once per series, outside the per-term calls.
+    """
     x = abs(float(spec.argument))
     big = _max_param_magnitude(spec)
     p = len(spec.kernel_numerators)
     q1 = len(spec.kernel_denominators) + 1
-    if k <= 2 * big + 2:
-        return float("inf")
-    bound = x * ((k + big) / (k - big)) ** p / (k - big) ** max(q1 - p, 0)
+    deg = spec.weight.degree if spec.weight is not None else 0
     wr = _weight_zero_radius(spec.weight)
-    if spec.weight is not None and spec.weight.degree >= 1:
-        if k <= 2 * wr + 2:
+
+    def bound(k: int) -> float:
+        if k <= 2 * big + 2:
             return float("inf")
-        bound *= ((k + 1 + wr) / (k - wr)) ** spec.weight.degree
+        rho = x * ((k + big) / (k - big)) ** p / (k - big) ** max(q1 - p, 0)
+        if deg >= 1:
+            if k <= 2 * wr + 2:
+                return float("inf")
+            rho *= ((k + 1 + wr) / (k - wr)) ** deg
+        return rho
+
     return bound
 
 
@@ -262,58 +278,63 @@ def _weight_value(weight: Optional[RationalPolynomial], k: int):
     return mpf(w.numerator) / w.denominator
 
 
+def _kernel_and_weight(spec: AnySeries, x) -> Iterator[tuple]:
+    """Yield (kernel_k, weight(-k)) for k = 0, 1, 2, ... as mpf values.
+
+    kernel_k = prod (nums)_k / (prod (dens)_k k!) * x^k, from the term
+    ratio recurrence; the parameters become mpf values once, up front.
+    This is the one term recurrence of every numeric path.  Consume it
+    inside the precision context it was started in.
+    """
+    nums = [mpf(a.numerator) / a.denominator for a in spec.kernel_numerators]
+    dens = [mpf(b.numerator) / b.denominator for b in spec.kernel_denominators]
+    kernel = mpf(1)
+    k = 0
+    while True:
+        yield kernel, _weight_value(spec.weight, k)
+        ratio = x / (k + 1)
+        for a in nums:
+            ratio *= a + k
+        for b in dens:
+            ratio /= b + k
+        kernel *= ratio
+        k += 1
+
+
 def _sum_inside_disk(spec: AnySeries, precision: int, tol, max_terms: int) -> EvalResult:
     """Direct summation for |x| < 1 with a geometric tail bound."""
-    nums, dens, weight = spec.kernel_numerators, spec.kernel_denominators, spec.weight
+    ratio_bound = _term_ratio_bound(spec)
     with mp.workdps(precision + 10):
         x = mpf(spec.argument.numerator) / spec.argument.denominator
         tol = mpf(tol)
         partial = mpf(0)
-        kernel = mpf(1)
+        terms = _kernel_and_weight(spec, x)
+        kernel, weight_k = next(terms)
         k = 0
         while k < max_terms:
-            partial += kernel * _weight_value(weight, k)
-            ratio = x / (k + 1)
-            for a in nums:
-                ratio *= mpf(a.numerator) / a.denominator + k
-            for b in dens:
-                ratio /= mpf(b.numerator) / b.denominator + k
-            kernel *= ratio
+            partial += kernel * weight_k
+            kernel, weight_k = next(terms)
             k += 1
-            rho = _term_ratio_bound(spec, k)
+            rho = ratio_bound(k)
             if rho < 0.999:
-                next_term = abs(kernel) * abs(_weight_value(weight, k))
+                next_term = abs(kernel) * abs(weight_k)
                 bound = next_term / (1 - mpf(rho))
                 target = tol * max(mpf(1), abs(partial))
                 if bound <= target:
                     return EvalResult(+partial, +bound, k, False)
-        rho = _term_ratio_bound(spec, k)
+        rho = ratio_bound(k)
         bound = abs(kernel) / (1 - mpf(rho)) if rho < 1 else mp.inf
         return EvalResult(+partial, +bound, k, False)
 
 
-def _unit_terms(spec: AnySeries, count: int):
-    """First ``count`` terms of the unit-argument series, high precision."""
-    nums, dens, weight = spec.kernel_numerators, spec.kernel_denominators, spec.weight
-    terms = []
-    kernel = mpf(1)
-    for k in range(count):
-        terms.append(kernel * _weight_value(weight, k))
-        ratio = mpf(1) / (k + 1)
-        for a in nums:
-            ratio *= mpf(a.numerator) / a.denominator + k
-        for b in dens:
-            ratio /= mpf(b.numerator) / b.denominator + k
-        kernel *= ratio
-    return terms
-
-
-def _fit_tail(terms, upto: int, s, order: int):
+def _fit_tail(terms, upto: int, s, zetas) -> mpf:
     """Tail sum_{k > upto} T_k from an inverse-power fit of the last terms.
 
-    Models T_k ~ k^(-1-s) * sum_i d_i (upto/k)^i on nodes in [upto/2, upto]
-    and completes the tail with Hurwitz zeta values.
+    Models T_k ~ k^(-1-s) * sum_i d_i (upto/k)^i, i < len(zetas), on nodes
+    in [upto/2, upto] and completes the tail with the Hurwitz zeta values
+    zetas[i] = zeta(1 + s + i, upto + 1).
     """
+    order = len(zetas)
     delta = max(1, upto // (2 * order))
     ks = [upto - j * delta for j in range(order)]
     rows = []
@@ -325,7 +346,7 @@ def _fit_tail(terms, upto: int, s, order: int):
     coeffs = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
     tail = mpf(0)
     for i in range(order):
-        tail += coeffs[i] * mpf(upto) ** i * mp.zeta(1 + s + i, upto + 1)
+        tail += coeffs[i] * mpf(upto) ** i * zetas[i]
     return tail
 
 
@@ -339,6 +360,10 @@ def _sum_unit_argument(
     The completion fits that inverse-power behavior and sums it exactly
     with Hurwitz zeta values, with a conservative integral-comparison
     cap retained as fallback bound.
+
+    The term budget doubles until the bound meets ``tol``.  One term list
+    is extended across the doublings, and each budget's zeta values are
+    computed once and shared by the tail fit and its lower-order check.
     """
     s = spec.excess()
     if s <= 0:
@@ -350,16 +375,19 @@ def _sum_unit_argument(
     with mp.workdps(precision + 25):
         s_mp = mpf(s.numerator) / s.denominator
         tol = mpf(tol)
-        budget = min(max_terms, max(start, 128))
+        budget = min(max_terms, start)
         best: Optional[EvalResult] = None
+        source = (kernel * w for kernel, w in _kernel_and_weight(spec, mpf(1)))
+        terms = []
         while True:
-            terms = _unit_terms(spec, budget + 1)
-            partial = mp.fsum(terms[: budget + 1])
+            terms.extend(islice(source, budget + 1 - len(terms)))
+            partial = mp.fsum(terms)
             window = [abs(terms[k]) * mpf(k) ** (1 + s_mp) for k in range(budget // 2, budget + 1)]
             crude = mpf("1.5") * max(window) * mpf(budget + 1) ** (-s_mp) / s_mp
             order = min(12, max(4, budget // 24))
-            tail = _fit_tail(terms, budget, s_mp, order)
-            tail_check = _fit_tail(terms, budget, s_mp, max(3, order - 3))
+            zetas = [mp.zeta(1 + s_mp + i, budget + 1) for i in range(order)]
+            tail = _fit_tail(terms, budget, s_mp, zetas)
+            tail_check = _fit_tail(terms, budget, s_mp, zetas[: max(3, order - 3)])
             stability = 4 * abs(tail - tail_check)
             value = partial + tail
             floor = abs(value) * mpf(10) ** (-precision)
@@ -381,11 +409,10 @@ def _levin_unit_argument(spec: AnySeries, precision: int, count: int) -> EvalRes
     """
     count = max(24, min(count, 56))
     with mp.workdps(2 * precision + 20):
-        terms = _unit_terms(spec, count)
         partials = []
         acc = mpf(0)
-        for t in terms:
-            acc += t
+        for kernel, w in islice(_kernel_and_weight(spec, mpf(1)), count):
+            acc += kernel * w
             partials.append(+acc)
         transform = mp.levin(method="levin", variant="u")
         value, _ = transform.update_psum(partials)

@@ -331,7 +331,7 @@ def generate_cases(seed: int, profile: CaseProfile) -> GeneratedCases:
                 e = a + b + d + pp.total_shift - c + profile.min_excess + rng.randint(0, 3)
                 params = {"a": a, "b": b, "d": d, "c": c, "e": e, "pairs": pp.pairs}
                 transform = thomae(a, b, d, c, e, pp)
-                s = parametric_excess_of(transform)
+                s = transform.source.excess()
                 if s < profile.min_excess or (e - d) < profile.min_ed:
                     continue
             elif profile.kind == "thomae_terminating":
@@ -378,11 +378,6 @@ def _fmt_param(value) -> str:
     if isinstance(value, tuple):
         return "(" + ",".join(f"{f}:{s}" for f, s in value) + ")"
     return str(value)
-
-
-def parametric_excess_of(transform: TransformResult) -> Fraction:
-    """Source-side unit-argument excess of a constructed transform."""
-    return transform.source.excess()
 
 
 @dataclass

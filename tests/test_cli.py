@@ -50,6 +50,16 @@ class TestPolyCommand:
         result = run_cli("poly", "--kind", "q", "--b", "2x", "--c", "7")
         assert result.returncode == 2
 
+    def test_zero_finder_overflow_is_named_error(self):
+        # at total shift 16 the float64 residual of an Aberth iterate
+        # overflows; that must end as a non-convergence, not a traceback
+        result = run_cli(
+            "poly", "--kind", "q", "--b", "5/2", "--c", "3/2", "--pairs", "1/3:8,2/7:8"
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error[NonConvergenceError]")
+        assert "Traceback" not in result.stderr
+
 
 class TestTransformCommand:
     def test_unit_argument_contracted_description(self):

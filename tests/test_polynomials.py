@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thomae.errors import PreconditionError
+from thomae.errors import NonConvergenceError, PreconditionError
 from thomae.exact import ParamPairs, c_coefficients, pochhammer
 from thomae.polynomials import (
     RationalPolynomial,
@@ -261,6 +261,16 @@ class TestFindZeros:
             scale = np.abs(original).max()
             assert np.abs(rebuilt.real - original).max() <= 1e-9 * scale
 
+    def test_overflowing_iterate_raises_nonconvergence(self):
+        # total shift 16: some iterates grow until |z|^i overflows a float
+        q = build_Q(ParamPairs([(F(1, 3), 8), (F(2, 7), 8)]), B, C)
+        with pytest.raises(NonConvergenceError) as err:
+            find_zeros(q)
+        best = err.value.best
+        assert not best.converged
+        assert len(best.zeros) == len(best.residuals) == 16
+        assert err.value.history == best.residuals
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(PreconditionError):
             find_zeros(RationalPolynomial([5]))
@@ -276,6 +286,16 @@ class TestEvaluation:
         q = build_Q(QUAD_PAIRS, B, C)
         assert q.evaluate(F(1, 2)) == 0
         assert q.evaluate(F(9, 2)) == 0
+
+    def test_matches_fraction_power_sum(self):
+        # integer Horner over a common denominator against the plain sum
+        rng = random.Random(53)
+        assert RationalPolynomial().evaluate(F(2, 3)) == 0
+        for _ in range(40):
+            coeffs = [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(rng.randint(1, 10))]
+            p = RationalPolynomial(coeffs)
+            for t in (F(0), F(-rng.randint(1, 10**5)), F(rng.randint(-99, 99), rng.randint(1, 99))):
+                assert p.evaluate(t) == sum(c * t**i for i, c in enumerate(coeffs))
 
     def test_matches_termwise_expansion(self):
         # independent oracle: sum the defining expansion term by term at t = -1

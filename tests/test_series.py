@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -249,3 +250,107 @@ class TestParametricExcess:
             m = rng.randint(0, 5)
             a, b, c, d, e = vals
             assert parametric_excess(a, b, c, d, e, m) == c + e - a - b - d - m
+
+
+# Exact results of the numeric paths, as (mpf._mpf_ of the value, mpf._mpf_
+# of the bound, terms_used), recorded with mpmath 1.3.0.  They were recorded
+# before the term list was extended across budget doublings and the zeta
+# values were shared between the two tail fits; those changes must not move
+# a single bit.
+_PIN_WEIGHT = build_Q(ParamPairs([(F(1, 2), 2)]), F(5, 2), F(3, 2))
+PINNED = {
+    "unit_plain": (
+        SeriesSpec([F(1, 2), F(3, 4), F(1, 3)], [F(5, 4), F(7, 4)], 1),
+        dict(precision=50, tol=1e-45),
+        (0, 3960820918201046311092111161666066422689045902547240591639770833474741214583, -251, 252),
+        (0, 5322942165518862708348443073708433979620706248242251609558108013460524013579, -402, 252),
+        16385,  # seven budget doublings, from 128 terms
+    ),
+    "unit_weighted": (
+        WeightedSeriesSpec([F(1, 4), F(7, 3)], [F(15, 2)], _PIN_WEIGHT, 1),
+        dict(precision=50, tol=1e-30),
+        (0, 2992869098176880457332159422090356181600182274774639223245082165569294080309, -250, 251),
+        (0, 6007002788645036251598500547004899266387119319863445649920894008964416088631, -353, 252),
+        2497,
+    ),
+    "disk_weighted": (
+        WeightedSeriesSpec([F(1, 4), F(7, 3)], [F(3, 2)], _PIN_WEIGHT, F(-1, 2)),
+        dict(precision=40, tol=1e-30),
+        (0, 57679882947422171081728485410847653654522024723663, -166, 166),
+        (0, 195371814374053152303988419244937672319260020288539, -267, 168),
+        113,
+    ),
+    "levin": (
+        SeriesSpec([F(1, 3), F(1, 4)], [3], 1),
+        dict(precision=40, acceleration="levin"),
+        (0, 72647237287026515501480273674073922913328569358135208788635052548600154753227323856485487945988651165, -335, 336),
+        (0, 19783460596333433824466221154861464123583963501870981942174472536933590096055945828823860074484145269, -466, 334),
+        56,
+    ),
+}
+
+
+@pytest.mark.skipif(
+    mpmath.__version__ != "1.3.0",
+    reason="the pinned bits come from mpmath 1.3.0's zeta, lu_solve and levin",
+)
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_numeric_paths_bit_identical(name):
+    spec, options, value, bound, terms = PINNED[name]
+    res = eval_numeric(spec, **options)
+    assert res.value._mpf_ == value
+    assert res.abs_error_bound._mpf_ == bound
+    assert res.terms_used == terms
+
+
+def _gauss_sum(a, b, c):
+    """Gauss: 2F1(a, b; c; 1) = G(c) G(c-a-b) / (G(c-a) G(c-b)), at 60 digits."""
+    def m(q):
+        return mpf(q.numerator) / q.denominator
+
+    with mp.workdps(60):
+        return (
+            mpmath.gamma(m(c)) * mpmath.gamma(m(c - a - b))
+            * mpmath.rgamma(m(c - a)) * mpmath.rgamma(m(c - b))
+        )
+
+
+class TestBoundEncloses:
+    """|value - exact| <= abs_error_bound against independent closed forms."""
+
+    EXCESS = (F(1, 10), F(1, 7), F(1, 3), F(1, 2), F(1), F(5, 2))
+
+    def test_gauss_unit_argument(self):
+        rng = random.Random(2026)
+
+        def draw(hi):
+            # quarters plus sevenths, never a nonpositive integer
+            while True:
+                x = F(rng.randint(-4 * hi, 12 * hi), 4) + F(rng.randint(0, 5), 7)
+                if x.denominator != 1 or x > 0:
+                    return x
+
+        checked = 0
+        for i in range(18):
+            s, hi = self.EXCESS[i % 6], (1, 4, 12)[i // 6]  # parameters up to ~50
+            a, b = draw(hi), draw(hi)
+            c = a + b + s
+            if c.denominator == 1 and c <= 0:
+                continue
+            res = eval_numeric(SeriesSpec([a, b], [c], 1))
+            with mp.workdps(60):
+                assert abs(res.value - _gauss_sum(a, b, c)) <= res.abs_error_bound, (a, b, c)
+            checked += 1
+        assert checked >= 15
+
+    @pytest.mark.parametrize("x", [F(-9, 10), F(-1, 2), F(3, 10), F(9, 10)])
+    def test_weighted_inside_disk(self, x):
+        # the weight has zeros 1/2 and 9/2, so the weighted series equals the
+        # plain one with the pairs 3/2 over 1/2 and 11/2 over 9/2 appended
+        nums, dens = [F(1, 4), F(7, 3)], [F(3, 2)]
+        res = eval_numeric(WeightedSeriesSpec(nums, dens, _PIN_WEIGHT, x), precision=40, tol=1e-30)
+        with mp.workdps(60):
+            exact = mpmath.hyper(
+                [F(1, 4), F(7, 3), F(3, 2), F(11, 2)], [F(3, 2), F(1, 2), F(9, 2)], x
+            )
+            assert abs(res.value - exact) <= res.abs_error_bound
