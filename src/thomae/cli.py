@@ -25,19 +25,12 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from . import __version__
+from . import __version__, polynomials, transforms
 from .errors import PreconditionError, ThomaeError
 from .exact import ParamPairs, c_coefficients, sigma_coefficients
-from .polynomials import RationalPolynomial, build_G, build_Q, build_Qhat, find_zeros
+from .polynomials import RationalPolynomial, find_zeros
 from .series import SeriesSpec, WeightedSeriesSpec, eval_numeric
-from .transforms import (
-    TransformResult,
-    contract_pairs,
-    euler1,
-    euler2,
-    thomae,
-    thomae_terminating,
-)
+from .transforms import TransformResult, contract_pairs
 from .verification import (
     CaseProfile,
     generate_cases,
@@ -46,6 +39,25 @@ from .verification import (
 )
 
 FLOAT_DIGITS = 17
+
+# Builder tables, one per family: kind -> (builder name, the config keys
+# it reads, in the order missing ones are reported).  "pairs" is optional
+# and becomes the builder's ``pp``; the keys in _INTEGER_KEYS are integers,
+# the rest rationals.  Builders are looked up on their module at call time,
+# so a wrapper installed on the module (the benchmark's tracer) sees them.
+_THEOREMS = {
+    "euler1": ("euler1", ("a", "b", "c", "x", "pairs")),
+    "euler2": ("euler2", ("a", "b", "c", "x", "pairs")),
+    "thomae": ("thomae", ("a", "b", "c", "d", "e", "pairs")),
+    "thomae_terminating": ("thomae_terminating", ("n", "b", "c", "d", "e", "pairs")),
+}
+_POLYNOMIALS = {
+    "q": ("build_Q", ("b", "c", "pairs")),
+    "qhat": ("build_Qhat", ("a", "b", "c", "pairs")),
+    "g": ("build_G", ("m", "k", "a", "b", "c")),
+}
+_INTEGER_KEYS = ("n", "m", "k")
+_TYPE_NAMES = {Fraction: "a rational 'p/q' or integer", int: "an integer", float: "a number"}
 
 
 def _rational(text: str) -> Fraction:
@@ -78,8 +90,57 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.15e}{z.imag:+.15e}j"
 
 
+def _typed(key: str, value, kind=Fraction, minimum=None):
+    """``value`` converted to ``kind`` and at least ``minimum``, or invalid_input."""
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise PreconditionError(
+            "invalid_input", f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}"
+        ) from exc
+    if minimum is not None and converted < minimum:
+        raise PreconditionError("invalid_input", f"{key} must be at least {minimum}, got {value!r}")
+    return converted
+
+
+def _rationals(config: dict, key: str) -> list[Fraction]:
+    values = config.get(key, [])
+    if not isinstance(values, list):
+        raise PreconditionError("invalid_input", f"{key} must be a list, got {values!r}")
+    return [_typed(key, value) for value in values]
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise PreconditionError("invalid_input", f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def _pairs_from_config(config: dict) -> ParamPairs:
-    return ParamPairs([(Fraction(f), int(m)) for f, m in config.get("pairs", [])])
+    pairs = config.get("pairs", [])
+    try:
+        parsed = [(Fraction(f), int(m)) for f, m in pairs]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise PreconditionError(
+            "invalid_input", f"pairs must be a list of [f, m] pairs, got {pairs!r}"
+        ) from exc
+    return ParamPairs(parsed)
+
+
+def _builder_arguments(table: dict, config: dict, family: str) -> tuple[str, dict]:
+    """The builder named in config's row of ``table``, and its keyword arguments."""
+    kind = config.get("kind")
+    if not isinstance(kind, str) or kind not in table:
+        raise PreconditionError("invalid_input", f"unknown {family} kind {kind!r}")
+    builder, keys = table[kind]
+    _require(config, [key for key in keys if key != "pairs"])
+    kwargs = {}
+    for key in keys:
+        if key == "pairs":
+            kwargs["pp"] = _pairs_from_config(config)
+        else:
+            kwargs[key] = _typed(key, config[key], int if key in _INTEGER_KEYS else Fraction)
+    return builder, kwargs
 
 
 def _zeros_payload(poly: RationalPolynomial, tol: float) -> list[dict]:
@@ -110,31 +171,15 @@ def _series_payload(spec) -> dict:
 
 
 def run_poly(config: dict) -> dict:
-    kind = config["kind"]
-    tol = float(config.get("tol", 1e-13))
-    pp = _pairs_from_config(config)
-    outputs: dict = {"kind": kind}
-    if kind == "g":
-        poly = build_G(
-            int(config["m"]),
-            int(config["k"]),
-            Fraction(config["a"]),
-            Fraction(config["b"]),
-            Fraction(config["c"]),
-        )
-    elif kind == "q":
-        poly = build_Q(pp, Fraction(config["b"]), Fraction(config["c"]))
-    elif kind == "qhat":
-        poly = build_Qhat(
-            pp, Fraction(config["a"]), Fraction(config["b"]), Fraction(config["c"])
-        )
-    else:
-        raise PreconditionError("invalid_input", f"unknown polynomial kind {kind!r}")
+    tol = _typed("tol", config.get("tol", 1e-13), float)
+    builder, kwargs = _builder_arguments(_POLYNOMIALS, config, "polynomial")
+    poly = getattr(polynomials, builder)(**kwargs)
+    outputs: dict = {"kind": config["kind"]}
     outputs["coefficients"] = [str(c) for c in poly.coefficients]
     outputs["degree"] = poly.degree
-    if kind in ("q", "qhat"):
-        outputs["sigma"] = [str(s) for s in sigma_coefficients(pp)]
-        outputs["c_coefficients"] = [str(c) for c in c_coefficients(pp)]
+    if "pp" in kwargs:
+        outputs["sigma"] = [str(s) for s in sigma_coefficients(kwargs["pp"])]
+        outputs["c_coefficients"] = [str(c) for c in c_coefficients(kwargs["pp"])]
         outputs["value_at_zero"] = str(poly.evaluate(0))
     outputs["zeros"] = _zeros_payload(poly, tol)
     return outputs
@@ -147,42 +192,24 @@ def _render_poly(outputs: dict) -> list[str]:
         lines.append("sigma coefficients: " + ", ".join(outputs["sigma"]))
         lines.append("pair-expansion coefficients: " + ", ".join(outputs["c_coefficients"]))
         lines.append(f"value at 0: {outputs['value_at_zero']}")
-    if outputs["zeros"]:
-        lines.append("zeros (sorted by real, imaginary):")
-        for z in outputs["zeros"]:
-            lines.append(f"  {z['value']}  residual {z['residual']}")
-    else:
-        lines.append("zeros: none computed")
+    zeros = _render_zeros("zeros (sorted by real, imaginary):", outputs["zeros"])
+    lines += zeros or ["zeros: none computed"]
     return lines
+
+
+def _render_zeros(heading: str, zeros: list[dict]) -> list[str]:
+    """The heading and one line per zero; nothing when there are none."""
+    if not zeros:
+        return []
+    return [heading] + [f"  {z['value']}  residual {z['residual']}" for z in zeros]
 
 
 # ----------------------------------------------------------- transform
 
 
 def _build_transform(config: dict) -> TransformResult:
-    kind = config["kind"]
-    pp = _pairs_from_config(config)
-    if kind == "euler1":
-        return euler1(
-            Fraction(config["a"]), Fraction(config["b"]), Fraction(config["c"]),
-            pp, Fraction(config["x"]),
-        )
-    if kind == "euler2":
-        return euler2(
-            Fraction(config["a"]), Fraction(config["b"]), Fraction(config["c"]),
-            pp, Fraction(config["x"]),
-        )
-    if kind == "thomae":
-        return thomae(
-            Fraction(config["a"]), Fraction(config["b"]), Fraction(config["d"]),
-            Fraction(config["c"]), Fraction(config["e"]), pp,
-        )
-    if kind == "thomae_terminating":
-        return thomae_terminating(
-            int(config["n"]), Fraction(config["b"]), Fraction(config["d"]),
-            Fraction(config["c"]), Fraction(config["e"]), pp,
-        )
-    raise PreconditionError("invalid_input", f"unknown transform kind {kind!r}")
+    builder, kwargs = _builder_arguments(_THEOREMS, config, "transform")
+    return getattr(transforms, builder)(**kwargs)
 
 
 def _prefactor_payload(transform: TransformResult, precision: int) -> dict:
@@ -196,8 +223,8 @@ def _prefactor_payload(transform: TransformResult, precision: int) -> dict:
 
 
 def run_transform(config: dict) -> dict:
-    precision = int(config.get("precision", 50))
-    tol = float(config.get("tol", 1e-13))
+    precision = _typed("precision", config.get("precision", 50), int, minimum=1)
+    tol = _typed("tol", config.get("tol", 1e-13), float)
     transform = _build_transform(config)
     outputs = {
         "kind": transform.kind,
@@ -246,16 +273,10 @@ def _render_transform(outputs: dict) -> list[str]:
     lines.append(line)
     lines += _render_series(outputs["source"], "source series")
     lines += _render_series(outputs["target"], "target series (weighted form)")
-    if outputs["weight_zeros"]:
-        lines.append("weight zeros (shifted pairs (z+1)/(z)):")
-        for z in outputs["weight_zeros"]:
-            lines.append(f"  {z['value']}  residual {z['residual']}")
+    lines += _render_zeros("weight zeros (shifted pairs (z+1)/(z)):", outputs["weight_zeros"])
     if "contracted" in outputs:
         lines += _render_series(outputs["contracted"], "contracted target")
-        if outputs["contracted"].get("weight_zeros"):
-            lines.append("remaining weight zeros:")
-            for z in outputs["contracted"]["weight_zeros"]:
-                lines.append(f"  {z['value']}  residual {z['residual']}")
+        lines += _render_zeros("remaining weight zeros:", outputs["contracted"]["weight_zeros"])
     return lines
 
 
@@ -263,23 +284,17 @@ def _render_transform(outputs: dict) -> list[str]:
 
 
 def run_eval(config: dict) -> dict:
-    precision = int(config.get("precision", 50))
-    tol = float(config.get("tol", 1e-12))
-    max_terms = int(config.get("max_terms", 400_000))
-    weight_coeffs = config.get("weight")
-    if weight_coeffs:
-        spec = WeightedSeriesSpec(
-            [Fraction(a) for a in config["numerators"]],
-            [Fraction(b) for b in config.get("denominators", [])],
-            RationalPolynomial([Fraction(c) for c in weight_coeffs]),
-            Fraction(config["x"]),
-        )
+    precision = _typed("precision", config.get("precision", 50), int, minimum=1)
+    tol = _typed("tol", config.get("tol", 1e-12), float)
+    max_terms = _typed("max_terms", config.get("max_terms", 400_000), int, minimum=1)
+    _require(config, ("numerators", "x"))
+    kernel = _rationals(config, "numerators"), _rationals(config, "denominators")
+    x = _typed("x", config["x"])
+    weight = _rationals(config, "weight")
+    if weight:
+        spec = WeightedSeriesSpec(*kernel, RationalPolynomial(weight), x)
     else:
-        spec = SeriesSpec(
-            [Fraction(a) for a in config["numerators"]],
-            [Fraction(b) for b in config.get("denominators", [])],
-            Fraction(config["x"]),
-        )
+        spec = SeriesSpec(*kernel, x)
     acceleration = config.get("acceleration")
     result = eval_numeric(spec, precision, tol, max_terms, acceleration)
     outputs = {
@@ -308,26 +323,23 @@ def _render_eval(outputs: dict) -> list[str]:
 
 
 def _report_payload(report) -> dict:
+    fmt = str if report.exact else _fmt_float
     return {
         "description": report.description,
         "verdict": report.verdict,
         "exact": report.exact,
-        "lhs": str(report.lhs_value) if report.exact else _fmt_float(report.lhs_value),
-        "rhs": str(report.rhs_value) if report.exact else _fmt_float(report.rhs_value),
-        "discrepancy": str(report.discrepancy)
-        if report.exact
-        else _fmt_float(report.discrepancy),
-        "combined_tolerance": str(report.combined_tolerance)
-        if report.exact
-        else _fmt_float(report.combined_tolerance),
+        "lhs": fmt(report.lhs_value),
+        "rhs": fmt(report.rhs_value),
+        "discrepancy": fmt(report.discrepancy),
+        "combined_tolerance": fmt(report.combined_tolerance),
         "budget_used": list(report.budget_used),
     }
 
 
 def run_verify(config: dict) -> dict:
-    tol = float(config.get("tol", 1e-10))
-    budget = int(config.get("budget", 40_000))
-    precision = int(config.get("precision", 50))
+    tol = _typed("tol", config.get("tol", 1e-10), float)
+    budget = _typed("budget", config.get("budget", 40_000), int, minimum=1)
+    precision = _typed("precision", config.get("precision", 50), int, minimum=1)
     outputs: dict = {"cases": [], "summary": {}}
     note = None
 
@@ -343,15 +355,15 @@ def run_verify(config: dict) -> dict:
         outputs["failures"] = summary.failures
         return outputs
 
-    if "case" in config and config["case"] is not None:
-        transform = _build_transform(config["case"])
+    if "case" in config:
+        transform = _build_transform(_json_object(config["case"], "case"))
         report = verify_transform(transform, tol, budget, precision)
         outputs["cases"].append(_report_payload(report))
     else:
         theorem = str(config.get("theorem", "2"))
-        count = int(config.get("count", 20))
-        seed = int(config.get("seed", 1))
-        argument = Fraction(config.get("x", "3/10"))
+        count = _typed("count", config.get("count", 20), int, minimum=0)
+        seed = _typed("seed", config.get("seed", 1), int)
+        argument = _typed("x", config.get("x", "3/10"))
         kinds = {
             "1": ["euler1", "euler2"],
             "euler1": ["euler1"],
@@ -438,10 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = {"--json": dict(action="store_true", help="emit a JSON report")}
-
     p_poly = sub.add_parser("poly", help="build a parametric weight polynomial")
-    p_poly.add_argument("--kind", choices=["q", "qhat", "g"], default="q")
+    p_poly.add_argument("--kind", choices=list(_POLYNOMIALS), default="q")
     p_poly.add_argument("--a", type=_rational)
     p_poly.add_argument("--b", type=_rational)
     p_poly.add_argument("--c", type=_rational)
@@ -449,14 +459,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--m", type=int)
     p_poly.add_argument("--k", type=int)
     p_poly.add_argument("--tol", type=float, default=1e-13)
-    p_poly.add_argument("--json", action="store_true")
-    p_poly.add_argument("--config", type=str)
 
     p_tr = sub.add_parser("transform", help="apply a transformation theorem")
     p_tr.add_argument(
-        "--theorem",
-        choices=["euler1", "euler2", "thomae", "thomae-terminating"],
-        default="thomae",
+        "--theorem", choices=[kind.replace("_", "-") for kind in _THEOREMS], default="thomae"
     )
     p_tr.add_argument("--a", type=_rational)
     p_tr.add_argument("--b", type=_rational)
@@ -469,8 +475,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--contract", action="store_true")
     p_tr.add_argument("--precision", type=int, default=50)
     p_tr.add_argument("--tol", type=float, default=1e-13)
-    p_tr.add_argument("--json", action="store_true")
-    p_tr.add_argument("--config", type=str)
 
     p_ev = sub.add_parser("eval", help="evaluate a series")
     p_ev.add_argument("--numerators", type=str, default="")
@@ -481,8 +485,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--tol", type=float, default=1e-12)
     p_ev.add_argument("--max-terms", type=int, default=400_000)
     p_ev.add_argument("--acceleration", choices=["levin"], default=None)
-    p_ev.add_argument("--json", action="store_true")
-    p_ev.add_argument("--config", type=str)
 
     p_vf = sub.add_parser("verify", help="verify identities")
     p_vf.add_argument(
@@ -503,75 +505,60 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument("--budget", type=int, default=40_000)
     p_vf.add_argument("--precision", type=int, default=50)
     p_vf.add_argument("--strict", action="store_true")
-    p_vf.add_argument("--json", action="store_true")
-    p_vf.add_argument("--config", type=str)
+    for command_parser in (p_poly, p_tr, p_ev, p_vf):
+        command_parser.add_argument("--json", action="store_true")
+        command_parser.add_argument("--config", type=str)
     return parser
 
 
 def _csl(text: str) -> list[str]:
-    return [chunk for chunk in text.split(",") if chunk] if text else []
+    """Comma-separated rationals as normalized 'p/q' strings."""
+    return [str(Fraction(chunk)) for chunk in text.split(",") if chunk]
+
+
+def _parameter_flags(args: argparse.Namespace, table: dict) -> dict:
+    """The given flags among the builder parameters of ``table``, as config entries."""
+    config = {}
+    for key in dict.fromkeys(key for _, keys in table.values() for key in keys):
+        value = getattr(args, key)
+        if key != "pairs" and value is not None:
+            config[key] = value if key in _INTEGER_KEYS else str(value)
+    return config
 
 
 def _config_from_args(args: argparse.Namespace) -> dict:
     """Normalize parsed flags into the canonical inputs dict."""
     if args.config:
         try:
-            return json.loads(args.config)
+            return _json_object(json.loads(args.config), "--config")
         except json.JSONDecodeError as exc:
             raise PreconditionError("invalid_input", f"bad --config JSON: {exc}") from exc
     command = args.command
     if command == "poly":
         config = {"kind": args.kind, "pairs": args.pairs, "tol": args.tol}
-        for name in ("a", "b", "c"):
-            value = getattr(args, name)
-            if value is not None:
-                config[name] = str(value)
-        for name in ("m", "k"):
-            value = getattr(args, name)
-            if value is not None:
-                config[name] = value
-        _require(config, {"q": ("b", "c"), "qhat": ("a", "b", "c"), "g": ("m", "k", "a", "b", "c")}[args.kind])
-        return config
+        return config | _parameter_flags(args, _POLYNOMIALS)
     if command == "transform":
-        kind = args.theorem.replace("-", "_")
         config = {
-            "kind": kind,
+            "kind": args.theorem.replace("-", "_"),
             "pairs": args.pairs,
             "contract": bool(args.contract),
             "precision": args.precision,
             "tol": args.tol,
         }
-        for name in ("a", "b", "c", "d", "e", "x"):
-            value = getattr(args, name)
-            if value is not None:
-                config[name] = str(value)
-        if args.n is not None:
-            config["n"] = args.n
-        _require(
-            config,
-            {
-                "euler1": ("a", "b", "c", "x"),
-                "euler2": ("a", "b", "c", "x"),
-                "thomae": ("a", "b", "c", "d", "e"),
-                "thomae_terminating": ("n", "b", "c", "d", "e"),
-            }[kind],
-        )
-        return config
+        return config | _parameter_flags(args, _THEOREMS)
     if command == "eval":
         if args.x is None:
             raise PreconditionError("invalid_input", "eval requires --x")
-        numerators = [str(Fraction(v)) for v in _csl(args.numerators)]
-        denominators = [str(Fraction(v)) for v in _csl(args.denominators)]
         config = {
-            "numerators": numerators,
-            "denominators": denominators,
+            "numerators": _csl(args.numerators),
+            "denominators": _csl(args.denominators),
             "x": str(args.x),
             "precision": args.precision,
             "tol": args.tol,
             "max_terms": args.max_terms,
         }
         if args.weight:
-            config["weight"] = [str(Fraction(v)) for v in _csl(args.weight)]
+            config["weight"] = _csl(args.weight)
         if args.acceleration:
             config["acceleration"] = args.acceleration
         return config
@@ -636,7 +623,7 @@ def main(argv=None) -> int:
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
-        for line in _RUNNERS[args.command][1](outputs):
+        for line in renderer(outputs):
             print(line)
     if args.command == "verify":
         return _verify_exit_code(outputs, bool(config.get("strict", False)))

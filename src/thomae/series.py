@@ -39,32 +39,70 @@ def _nonpositive_integer(x: Fraction) -> Optional[int]:
     return None
 
 
-def _validate_parameters(
-    numerators: Sequence[Fraction],
-    denominators: Sequence[Fraction],
-) -> Optional[int]:
-    """Check the denominator-pole shielding rule, return termination index.
+def _termination_index(numerators: Sequence[Fraction]) -> Optional[int]:
+    """The smallest n with -n among the numerators, or None."""
+    stops = [q for a in numerators if (q := _nonpositive_integer(a)) is not None]
+    return min(stops) if stops else None
+
+
+def _kernel(
+    numerators: Sequence[RationalLike],
+    denominators: Sequence[RationalLike],
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Parameters as rationals, checked against the denominator-pole rule.
 
     A denominator parameter equal to -q (integer q >= 0) is only allowed
     when some numerator parameter -n with n <= q stops the series first.
     """
-    stops = [q for a in numerators if (q := _nonpositive_integer(a)) is not None]
-    stop = min(stops) if stops else None
-    for b in denominators:
+    nums = tuple(as_rational(a) for a in numerators)
+    dens = tuple(as_rational(b) for b in denominators)
+    stop = _termination_index(nums)
+    for b in dens:
         q = _nonpositive_integer(b)
-        if q is None:
-            continue
-        if stop is None or stop > q:
+        if q is not None and (stop is None or stop > q):
             raise PreconditionError(
                 "denominator_pole",
                 f"denominator parameter {b} hits a pole before any "
                 f"numerator parameter terminates the series",
             )
-    return stop
+    return nums, dens
+
+
+class _Series:
+    """What the plain and the weighted descriptors share.
+
+    Both expose ``kernel_numerators``, ``kernel_denominators``, ``weight``
+    (None for a plain series) and ``argument``.
+    """
+
+    def termination_index(self) -> Optional[int]:
+        return _termination_index(self.kernel_numerators)
+
+    def excess(self) -> Fraction:
+        """Sum of denominator minus numerator parameters, less the weight degree.
+
+        The tail exponent: governs convergence at unit argument when the
+        numerator list is one longer than the denominator list.
+        """
+        degree = self.weight.degree if self.weight is not None else 0
+        return (
+            sum(self.kernel_denominators, Fraction(0))
+            - sum(self.kernel_numerators, Fraction(0))
+            - degree
+        )
+
+    def describe(self) -> str:
+        p, q = len(self.kernel_numerators), len(self.kernel_denominators)
+        nums = ", ".join(str(a) for a in self.kernel_numerators)
+        dens = ", ".join(str(b) for b in self.kernel_denominators) or "-"
+        text = f"{p}F{q}[{nums}; {dens}; {self.argument}]"
+        if self.weight is not None:
+            text += f" weighted by {self.weight} at the negated index"
+        return text
 
 
 @dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(_Series):
     """Parameters and argument of a generalized hypergeometric series."""
 
     numerator_params: tuple[Fraction, ...]
@@ -77,9 +115,7 @@ class SeriesSpec:
         denominator_params: Sequence[RationalLike],
         argument: RationalLike,
     ) -> None:
-        nums = tuple(as_rational(a) for a in numerator_params)
-        dens = tuple(as_rational(b) for b in denominator_params)
-        _validate_parameters(nums, dens)
+        nums, dens = _kernel(numerator_params, denominator_params)
         object.__setattr__(self, "numerator_params", nums)
         object.__setattr__(self, "denominator_params", dens)
         object.__setattr__(self, "argument", as_rational(argument))
@@ -96,33 +132,9 @@ class SeriesSpec:
     def weight(self) -> Optional[RationalPolynomial]:
         return None
 
-    def termination_index(self) -> Optional[int]:
-        stops = [
-            q
-            for a in self.numerator_params
-            if (q := _nonpositive_integer(a)) is not None
-        ]
-        return min(stops) if stops else None
-
-    def excess(self) -> Fraction:
-        """Sum of denominator minus numerator parameters.
-
-        Governs convergence at unit argument when the numerator list is
-        one longer than the denominator list.
-        """
-        return sum(self.denominator_params, Fraction(0)) - sum(
-            self.numerator_params, Fraction(0)
-        )
-
-    def describe(self) -> str:
-        p, q = len(self.numerator_params), len(self.denominator_params)
-        nums = ", ".join(str(a) for a in self.numerator_params)
-        dens = ", ".join(str(b) for b in self.denominator_params) or "-"
-        return f"{p}F{q}[{nums}; {dens}; {self.argument}]"
-
 
 @dataclass(frozen=True)
-class WeightedSeriesSpec:
+class WeightedSeriesSpec(_Series):
     """A hypergeometric kernel with a polynomial weight at the negated index.
 
     Represents  sum_k  [prod(nums)_k / (prod(dens)_k k!)] * weight(-k) * x^k.
@@ -143,40 +155,13 @@ class WeightedSeriesSpec:
         weight: RationalPolynomial,
         argument: RationalLike,
     ) -> None:
-        nums = tuple(as_rational(a) for a in kernel_numerators)
-        dens = tuple(as_rational(b) for b in kernel_denominators)
-        _validate_parameters(nums, dens)
+        nums, dens = _kernel(kernel_numerators, kernel_denominators)
         if weight.is_zero():
             raise PreconditionError("zero_weight", "weight polynomial is zero")
         object.__setattr__(self, "kernel_numerators", nums)
         object.__setattr__(self, "kernel_denominators", dens)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "argument", as_rational(argument))
-
-    def termination_index(self) -> Optional[int]:
-        stops = [
-            q
-            for a in self.kernel_numerators
-            if (q := _nonpositive_integer(a)) is not None
-        ]
-        return min(stops) if stops else None
-
-    def excess(self) -> Fraction:
-        """Kernel excess reduced by the weight degree (the tail exponent)."""
-        return (
-            sum(self.kernel_denominators, Fraction(0))
-            - sum(self.kernel_numerators, Fraction(0))
-            - self.weight.degree
-        )
-
-    def describe(self) -> str:
-        p, q = len(self.kernel_numerators), len(self.kernel_denominators)
-        nums = ", ".join(str(a) for a in self.kernel_numerators)
-        dens = ", ".join(str(b) for b in self.kernel_denominators) or "-"
-        return (
-            f"{p}F{q}[{nums}; {dens}; {self.argument}]"
-            f" weighted by {self.weight} at the negated index"
-        )
 
 
 AnySeries = Union[SeriesSpec, WeightedSeriesSpec]
@@ -323,7 +308,7 @@ def _sum_inside_disk(spec: AnySeries, precision: int, tol, max_terms: int) -> Ev
                 if bound <= target:
                     return EvalResult(+partial, +bound, k, False)
         rho = ratio_bound(k)
-        bound = abs(kernel) / (1 - mpf(rho)) if rho < 1 else mp.inf
+        bound = abs(kernel) * abs(weight_k) / (1 - mpf(rho)) if rho < 1 else mp.inf
         return EvalResult(+partial, +bound, k, False)
 
 

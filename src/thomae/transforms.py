@@ -21,6 +21,7 @@ from .polynomials import RationalPolynomial, build_Q, build_Qhat
 from .series import (
     SeriesSpec,
     WeightedSeriesSpec,
+    _nonpositive_integer,
     gamma_ratio,
     parametric_excess,
 )
@@ -120,22 +121,57 @@ class TransformResult:
         )
 
 
-def _check(conditions: list[ConditionCheck], name: str, ok: bool, detail: str) -> None:
-    conditions.append(ConditionCheck(name, ok, detail))
+def _b_differs_from_f(b: Fraction, pp: ParamPairs) -> list[ConditionCheck]:
+    return [
+        ConditionCheck("b_equals_f", b != f, f"b={b} must differ from base parameter {f}")
+        for f, _ in pp.pairs
+    ]
 
 
-def _check_c_regular(conditions: list[ConditionCheck], c: Fraction) -> None:
+def _shifted_pochhammer(letter: str, c: Fraction, p: Fraction, m: int) -> ConditionCheck:
+    """(c-p-m)_m != 0 for the numerator parameter p named ``letter``."""
+    return ConditionCheck(
+        f"c{letter}m_pochhammer_zero",
+        pochhammer(c - p - m, m) != 0,
+        f"(c-{letter}-m)_m must be nonzero, c-{letter}-m={c - p - m}",
+    )
+
+
+def _argument_below_one(x: Fraction) -> ConditionCheck:
+    return ConditionCheck("argument_out_of_range", x < 1, f"need x < 1, got {x}")
+
+
+def _ed_positive(d: Fraction, e: Fraction) -> ConditionCheck:
+    return ConditionCheck("ed_not_positive", e - d > 0, f"need e-d > 0, got {e - d}")
+
+
+def _c_regular(c: Fraction) -> ConditionCheck:
     # A nonpositive-integer c breaks the analytic identities even when a
     # terminating numerator shields the literal series from the pole.
-    ok = not (c.denominator == 1 and c.numerator <= 0)
-    _check(conditions, "c_nonpositive_integer", ok, f"c={c} must not be a nonpositive integer")
+    return ConditionCheck(
+        "c_nonpositive_integer", _nonpositive_integer(c) is None,
+        f"c={c} must not be a nonpositive integer",
+    )
 
 
-def _enforce(conditions: list[ConditionCheck]) -> None:
+def _gamma_regular(name: str, value: Fraction) -> ConditionCheck:
+    return ConditionCheck(
+        "gamma_pole", _nonpositive_integer(value) is None,
+        f"gamma argument {name}={value} is a nonpositive integer",
+    )
+
+
+def _enforce(conditions: list[ConditionCheck]) -> tuple[ConditionCheck, ...]:
     failed = [c for c in conditions if not c.satisfied]
     if failed:
         summary = "; ".join(f"{c.name}: {c.detail}" for c in failed)
         raise PreconditionError(failed[0].name, summary)
+    return tuple(conditions)
+
+
+def _source(nums: tuple, dens: tuple, pp: ParamPairs, x: Fraction) -> SeriesSpec:
+    """The given parameters followed by the shifted pairs."""
+    return SeriesSpec(nums + pp.numerator_parameters(), dens + pp.denominator_parameters(), x)
 
 
 def euler1(
@@ -152,24 +188,16 @@ def euler1(
     """
     a, b, c, x = map(as_rational, (a, b, c, x))
     m = pp.total_shift
-    conditions: list[ConditionCheck] = []
-    for f, _ in pp.pairs:
-        _check(conditions, "b_equals_f", b != f, f"b={b} must differ from base parameter {f}")
-    _check(
-        conditions,
-        "cbm_pochhammer_zero",
-        pochhammer(c - b - m, m) != 0,
-        f"(c-b-m)_m must be nonzero, c-b-m={c - b - m}",
-    )
-    _check(conditions, "argument_out_of_range", x < 1, f"need x < 1, got {x}")
-    _check_c_regular(conditions, c)
-    _enforce(conditions)
+    conditions = _enforce([
+        *_b_differs_from_f(b, pp),
+        _shifted_pochhammer("b", c, b, m),
+        _argument_below_one(x),
+        _c_regular(c),
+    ])
     weight = build_Q(pp, b, c)
-    source = SeriesSpec(
-        (a, b) + pp.numerator_parameters(), (c,) + pp.denominator_parameters(), x
-    )
+    source = _source((a, b), (c,), pp, x)
     target = WeightedSeriesSpec((a, c - b - m), (c,), weight, x / (x - 1))
-    return TransformResult("euler1", PowerOfOneMinusX(-a), target, source, weight, tuple(conditions))
+    return TransformResult("euler1", PowerOfOneMinusX(-a), target, source, weight, conditions)
 
 
 def euler2(
@@ -182,29 +210,17 @@ def euler2(
     """Argument-preserving transformation with prefactor (1-x)^(c-a-b-m)."""
     a, b, c, x = map(as_rational, (a, b, c, x))
     m = pp.total_shift
-    conditions: list[ConditionCheck] = []
-    _check(
-        conditions,
-        "cam_pochhammer_zero",
-        pochhammer(c - a - m, m) != 0,
-        f"(c-a-m)_m must be nonzero, c-a-m={c - a - m}",
-    )
-    _check(
-        conditions,
-        "cbm_pochhammer_zero",
-        pochhammer(c - b - m, m) != 0,
-        f"(c-b-m)_m must be nonzero, c-b-m={c - b - m}",
-    )
-    _check(conditions, "argument_out_of_range", x < 1, f"need x < 1, got {x}")
-    _check_c_regular(conditions, c)
-    _enforce(conditions)
+    conditions = _enforce([
+        _shifted_pochhammer("a", c, a, m),
+        _shifted_pochhammer("b", c, b, m),
+        _argument_below_one(x),
+        _c_regular(c),
+    ])
     weight = build_Qhat(pp, a, b, c)
-    source = SeriesSpec(
-        (a, b) + pp.numerator_parameters(), (c,) + pp.denominator_parameters(), x
-    )
+    source = _source((a, b), (c,), pp, x)
     target = WeightedSeriesSpec((c - a - m, c - b - m), (c,), weight, x)
     return TransformResult(
-        "euler2", PowerOfOneMinusX(c - a - b - m), target, source, weight, tuple(conditions)
+        "euler2", PowerOfOneMinusX(c - a - b - m), target, source, weight, conditions
     )
 
 
@@ -224,40 +240,20 @@ def thomae(
     a, b, d, c, e = map(as_rational, (a, b, d, c, e))
     m = pp.total_shift
     s = parametric_excess(a, b, c, d, e, m)
-    conditions: list[ConditionCheck] = []
-    _check(
-        conditions,
-        "cam_pochhammer_zero",
-        pochhammer(c - a - m, m) != 0,
-        f"(c-a-m)_m must be nonzero, c-a-m={c - a - m}",
-    )
-    _check(
-        conditions,
-        "cbm_pochhammer_zero",
-        pochhammer(c - b - m, m) != 0,
-        f"(c-b-m)_m must be nonzero, c-b-m={c - b - m}",
-    )
-    _check(conditions, "ed_not_positive", e - d > 0, f"need e-d > 0, got {e - d}")
-    _check(conditions, "excess_not_positive", s > 0, f"need excess > 0, got s={s}")
-    _check_c_regular(conditions, c)
-    for name, value in (("e", e), ("s_plus_d", s + d)):
-        pole = value.denominator == 1 and value.numerator <= 0
-        _check(
-            conditions,
-            "gamma_pole",
-            not pole,
-            f"gamma argument {name}={value} is a nonpositive integer",
-        )
-    _enforce(conditions)
+    conditions = _enforce([
+        _shifted_pochhammer("a", c, a, m),
+        _shifted_pochhammer("b", c, b, m),
+        _ed_positive(d, e),
+        ConditionCheck("excess_not_positive", s > 0, f"need excess > 0, got s={s}"),
+        _c_regular(c),
+        _gamma_regular("e", e),
+        _gamma_regular("s_plus_d", s + d),
+    ])
     weight = build_Qhat(pp, a, b, c)
-    source = SeriesSpec(
-        (a, b, d) + pp.numerator_parameters(),
-        (c, e) + pp.denominator_parameters(),
-        Fraction(1),
-    )
+    source = _source((a, b, d), (c, e), pp, Fraction(1))
     target = WeightedSeriesSpec((c - a - m, c - b - m, d), (c, s + d), weight, Fraction(1))
     prefactor = GammaRatioPrefactor((e, s), (e - d, s + d))
-    return TransformResult("thomae", prefactor, target, source, weight, tuple(conditions))
+    return TransformResult("thomae", prefactor, target, source, weight, conditions)
 
 
 def thomae_terminating(
@@ -273,36 +269,21 @@ def thomae_terminating(
         raise PreconditionError("invalid_terminating_index", f"need n >= 0, got {n}")
     b, d, c, e = map(as_rational, (b, d, c, e))
     m = pp.total_shift
-    conditions: list[ConditionCheck] = []
-    for f, _ in pp.pairs:
-        _check(conditions, "b_equals_f", b != f, f"b={b} must differ from base parameter {f}")
-    _check(
-        conditions,
-        "cbm_pochhammer_zero",
-        pochhammer(c - b - m, m) != 0,
-        f"(c-b-m)_m must be nonzero, c-b-m={c - b - m}",
-    )
-    _check(conditions, "ed_not_positive", e - d > 0, f"need e-d > 0, got {e - d}")
-    _check(
-        conditions,
-        "en_pochhammer_zero",
-        pochhammer(e, n) != 0,
-        f"(e)_n must be nonzero, e={e}, n={n}",
-    )
-    _enforce(conditions)
+    conditions = _enforce([
+        *_b_differs_from_f(b, pp),
+        _shifted_pochhammer("b", c, b, m),
+        _ed_positive(d, e),
+        ConditionCheck(
+            "en_pochhammer_zero", pochhammer(e, n) != 0, f"(e)_n must be nonzero, e={e}, n={n}"
+        ),
+    ])
     weight = build_Q(pp, b, c)
-    source = SeriesSpec(
-        (Fraction(-n), b, d) + pp.numerator_parameters(),
-        (c, e) + pp.denominator_parameters(),
-        Fraction(1),
-    )
+    source = _source((Fraction(-n), b, d), (c, e), pp, Fraction(1))
     target = WeightedSeriesSpec(
         (Fraction(-n), c - b - m, d), (c, 1 - e + d - n), weight, Fraction(1)
     )
     prefactor = PochhammerRatioPrefactor(e - d, e, n)
-    return TransformResult(
-        "thomae_terminating", prefactor, target, source, weight, tuple(conditions)
-    )
+    return TransformResult("thomae_terminating", prefactor, target, source, weight, conditions)
 
 
 def contract_pairs(target: WeightedSeriesSpec) -> WeightedSeriesSpec:
@@ -318,37 +299,22 @@ def contract_pairs(target: WeightedSeriesSpec) -> WeightedSeriesSpec:
     nums = list(target.kernel_numerators)
     dens = list(target.kernel_denominators)
     weight = target.weight
-    changed = True
-    while changed and weight.degree >= 1:
-        changed = False
-        for i, den in enumerate(dens):
-            z = den - 1
-            if z != 0 and weight.evaluate(z) == 0:
-                candidate_weight = -z * weight.divide_by_root(z)
-                try:
-                    WeightedSeriesSpec(
-                        nums, dens[:i] + [z] + dens[i + 1 :], candidate_weight, target.argument
-                    )
-                except PreconditionError:
-                    continue
-                dens[i] = z
-                weight = candidate_weight
-                changed = True
-                break
-        if changed:
-            continue
-        for i, num in enumerate(nums):
-            z = num
-            if z != 0 and weight.evaluate(z) == 0:
-                candidate_weight = -z * weight.divide_by_root(z)
-                try:
-                    WeightedSeriesSpec(
-                        nums[:i] + [z + 1] + nums[i + 1 :], dens, candidate_weight, target.argument
-                    )
-                except PreconditionError:
-                    continue
-                nums[i] = z + 1
-                weight = candidate_weight
-                changed = True
-                break
+    while weight.degree >= 1:
+        # (side, index, zero, replacement), denominators first
+        moves = [(dens, i, den - 1, den - 1) for i, den in enumerate(dens)]
+        moves += [(nums, i, num, num + 1) for i, num in enumerate(nums)]
+        for side, i, z, replacement in moves:
+            if z == 0 or weight.evaluate(z) != 0:
+                continue
+            candidate_weight = -z * weight.divide_by_root(z)
+            kept, side[i] = side[i], replacement
+            try:
+                WeightedSeriesSpec(nums, dens, candidate_weight, target.argument)
+            except PreconditionError:
+                side[i] = kept
+                continue
+            weight = candidate_weight
+            break
+        else:
+            break  # no weight zero matches a kernel parameter
     return WeightedSeriesSpec(nums, dens, weight, target.argument)

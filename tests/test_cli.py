@@ -1,13 +1,17 @@
-"""CLI end-to-end tests via subprocess: exact output, JSON round-trips,
-determinism, and exit codes."""
+"""CLI end-to-end tests via subprocess and in-process: exact output, JSON
+round-trips, determinism, and exit codes."""
 
 from __future__ import annotations
 
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import mpmath
 import pytest
+
+from thomae import cli
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -164,6 +168,54 @@ class TestVerifyCommand:
         result = run_cli("verify", "--case", "{not json")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--case", "[1,2]"),
+            ("verify", "--case", '"thomae"'),
+            ("verify", "--case", "null"),
+            ("transform", "--config", "[1]"),
+            ("verify", "--case", '{"kind": "euler1", "a": [1], "b": "1", "c": "3", "x": "1/2"}'),
+            ("verify", "--case",
+             '{"kind": "euler1", "a": "1/3", "b": "1", "c": "3", "x": "1/2", "pairs": 5}'),
+            ("verify", "--case", '{"kind": ["thomae"]}'),
+            ("verify", "--case", '{"kind": "thomae", "a": "1/4"}'),
+            ("poly", "--config", '{"kind": "q", "b": "2", "c": "7", "pairs": [[3]]}'),
+            ("eval", "--config", '{"numerators": 5, "x": "1/2"}'),
+        ],
+    )
+    def test_malformed_json_input_is_invalid_input(self, argv, capsys):
+        assert cli.main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[invalid_input]: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--theorem", "2", "--count", "-3"),
+            ("verify", "--theorem", "2", "--count", "1", "--precision", "-20"),
+            ("verify", "--theorem", "2", "--count", "1", "--precision", "0"),
+            ("verify", "--config", '{"theorem": "2", "count": -1}'),
+            ("verify", "--config", '{"theorem": "2", "count": 1, "precision": 0}'),
+            ("verify", "--theorem", "2", "--count", "1", "--budget", "0"),
+            ("transform", "--theorem", "euler2", "--a", "1/3", "--b", "1/5", "--c", "7/4",
+             "--x", "1/4", "--precision", "0"),
+            ("eval", "--numerators", "1/3", "--x=-1/2", "--max-terms", "-3"),
+            ("eval", "--numerators", "1/3", "--x=-1/2", "--precision", "0"),
+        ],
+    )
+    def test_out_of_range_count_precision_or_budget(self, argv, capsys):
+        assert cli.main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[invalid_input]: ")
+        assert " must be at least " in captured.err
+
+    def test_zero_count_is_an_empty_suite(self, capsys):
+        assert cli.main(["verify", "--theorem", "2", "--count", "0"]) == 0
+        assert capsys.readouterr().out == "summary: 0/0 passed, 0 failed, 0 inconclusive\n"
+
 
 class TestJsonRoundTrip:
     @pytest.mark.parametrize(
@@ -194,3 +246,24 @@ class TestJsonRoundTrip:
         report = json.loads(result.stdout)
         assert report["outputs"]["coefficients"] == ["1", "-1/12"]
         assert report["inputs"]["pairs"] == [["3", 1]]
+
+
+# Full --json reports (exit code, stdout, stderr) of `transform` for every
+# theorem with --contract, `poly` for every kind, and one call per theorem
+# that violates every condition the theorem can violate.  The zeros and
+# prefactors in them are mpmath 1.3.0 values.
+PINS = json.loads((Path(__file__).parent / "data" / "cli_pins.json").read_text())
+
+
+@pytest.mark.skipif(
+    mpmath.__version__ != "1.3.0",
+    reason="the pinned reports hold values computed with mpmath 1.3.0",
+)
+@pytest.mark.parametrize(
+    "pin", PINS, ids=lambda pin: "-".join(pin["argv"][:3:2]) + ("-violated" if pin["exit_code"] else "")
+)
+def test_pinned_report(pin, capsys):
+    assert cli.main(pin["argv"]) == pin["exit_code"]
+    captured = capsys.readouterr()
+    assert captured.out == pin["stdout"]
+    assert captured.err == pin["stderr"]

@@ -354,3 +354,19 @@ class TestBoundEncloses:
                 [F(1, 4), F(7, 3), F(3, 2), F(11, 2)], [F(3, 2), F(1, 2), F(9, 2)], x
             )
             assert abs(res.value - exact) <= res.abs_error_bound
+
+    @pytest.mark.parametrize("max_terms", [80, 100])
+    def test_weighted_inside_disk_budget_exhausted(self, max_terms):
+        # the term budget runs out before tol is met, so the bound is the
+        # geometric tail from the next term, weight factor included
+        nums, dens, x = [F(1, 4), F(7, 3)], [F(3, 2)], F(-1, 2)
+        res = eval_numeric(
+            WeightedSeriesSpec(nums, dens, _PIN_WEIGHT, x), precision=40, tol=1e-30,
+            max_terms=max_terms,
+        )
+        assert res.terms_used == max_terms
+        with mp.workdps(60):
+            exact = mpmath.hyper(
+                [F(1, 4), F(7, 3), F(3, 2), F(11, 2)], [F(3, 2), F(1, 2), F(9, 2)], x
+            )
+            assert abs(res.value - exact) <= res.abs_error_bound

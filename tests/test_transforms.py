@@ -193,6 +193,16 @@ class TestContraction:
         with mp.workdps(30):
             assert abs(r1.value - r2.value) / abs(r1.value) < mpf(10) ** -12
 
+    def test_denominator_tried_before_numerator(self):
+        # the weight zero 2/5 matches the numerator 2/5 and the denominator
+        # 7/5 alike; the denominator is contracted, the numerator kept
+        weight = RationalPolynomial([1, F(-5, 2)])
+        spec = WeightedSeriesSpec([F(2, 5), F(1, 3)], [F(7, 5)], weight, F(1, 4))
+        contracted = contract_pairs(spec)
+        assert contracted.kernel_numerators == (F(2, 5), F(1, 3))
+        assert contracted.kernel_denominators == (F(2, 5),)
+        assert contracted.weight.coefficients == (F(1),)
+
     def test_value_preserved_on_denominator_contraction(self):
         t = thomae(A, B, F(1), C, F(8), QUAD_PAIRS)
         contracted = contract_pairs(t.target)
