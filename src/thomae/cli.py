@@ -103,6 +103,14 @@ def _typed(key: str, value, kind=Fraction, minimum=None):
     return converted
 
 
+def _tolerance(config: dict, default: float) -> float:
+    """The requested tolerance, which must be positive, or invalid_input."""
+    tol = _typed("tol", config.get("tol", default), float)
+    if not tol > 0:  # also rejects nan
+        raise PreconditionError("invalid_input", f"tol must be positive, got {tol!r}")
+    return tol
+
+
 def _rationals(config: dict, key: str) -> list[Fraction]:
     values = config.get(key, [])
     if not isinstance(values, list):
@@ -285,8 +293,11 @@ def _render_transform(outputs: dict) -> list[str]:
 
 def run_eval(config: dict) -> dict:
     precision = _typed("precision", config.get("precision", 50), int, minimum=1)
-    tol = _typed("tol", config.get("tol", 1e-12), float)
+    tol = _tolerance(config, 1e-12)
     max_terms = _typed("max_terms", config.get("max_terms", 400_000), int, minimum=1)
+    acceleration = config.get("acceleration")
+    if acceleration not in (None, "levin"):
+        raise PreconditionError("invalid_input", f"unknown acceleration {acceleration!r}")
     _require(config, ("numerators", "x"))
     kernel = _rationals(config, "numerators"), _rationals(config, "denominators")
     x = _typed("x", config["x"])
@@ -295,7 +306,6 @@ def run_eval(config: dict) -> dict:
         spec = WeightedSeriesSpec(*kernel, RationalPolynomial(weight), x)
     else:
         spec = SeriesSpec(*kernel, x)
-    acceleration = config.get("acceleration")
     result = eval_numeric(spec, precision, tol, max_terms, acceleration)
     outputs = {
         "series": _series_payload(spec),
@@ -337,7 +347,7 @@ def _report_payload(report) -> dict:
 
 
 def run_verify(config: dict) -> dict:
-    tol = _typed("tol", config.get("tol", 1e-10), float)
+    tol = _tolerance(config, 1e-10)
     budget = _typed("budget", config.get("budget", 40_000), int, minimum=1)
     precision = _typed("precision", config.get("precision", 50), int, minimum=1)
     outputs: dict = {"cases": [], "summary": {}}

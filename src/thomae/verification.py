@@ -9,6 +9,7 @@ and a reproducible rejection sampler for admissible random cases.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,7 +17,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from mpmath import mp, mpf
-from scipy.special import gammaln, roots_jacobi
 
 from .errors import NonConvergenceError, PreconditionError
 from .exact import ParamPairs, RationalLike, as_rational
@@ -135,9 +135,9 @@ def _series_values_on_nodes(inner: SeriesSpec, xs: np.ndarray) -> np.ndarray:
     """Evaluate the series at each node in float64.
 
     Terminating series go through an exact-coefficient polynomial;
-    otherwise all parameters must be positive and each term is recovered
-    from log-gamma values, summed in chunks until the running term drops
-    below relative machine noise.
+    otherwise all parameters must be positive and each term comes from a
+    running sum of the logarithms of the term ratios, summed in chunks
+    until the running term drops below relative machine noise.
     """
     n = inner.termination_index()
     if n is not None:
@@ -162,20 +162,22 @@ def _series_values_on_nodes(inner: SeriesSpec, xs: np.ndarray) -> np.ndarray:
             "the quadrature oracle needs positive parameters for a "
             "non-terminating integrand series",
         )
-    base = sum(gammaln(a) for a in nums) - sum(gammaln(b) for b in dens)
     out = np.zeros_like(xs)
     chunk = 4096
     for i, x in enumerate(xs):
-        logx = np.log(x) if x > 0 else -np.inf
         total = 0.0
+        log_term = 0.0  # log of the first term of the next chunk
         k0 = 0
         while True:
             ks = np.arange(k0, k0 + chunk, dtype=float)
-            logt = -base - gammaln(ks + 1.0) + ks * logx
+            ratios = x / (ks + 1.0)
             for a in nums:
-                logt += gammaln(a + ks)
+                ratios *= a + ks
             for b in dens:
-                logt -= gammaln(b + ks)
+                ratios /= b + ks
+            steps = np.log(ratios)  # log(term[k + 1] / term[k])
+            logt = log_term + np.cumsum(steps) - steps
+            log_term = logt[-1] + steps[-1]
             terms = np.exp(logt)
             total += terms.sum()
             k0 += chunk
@@ -190,6 +192,35 @@ def _series_values_on_nodes(inner: SeriesSpec, xs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point rule for (1-x)^alpha (1+x)^beta on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the Jacobi polynomials, and each weight is mu0 times the
+    squared first component of its eigenvector.  The k = 0 diagonal entry
+    and the k = 1 off-diagonal entry are written in cancelled form, since
+    the general formulas are 0/0 at alpha + beta = 0 and alpha + beta = -1.
+    """
+    ab = alpha + beta
+    k = np.arange(1, n, dtype=float)
+    diagonal = np.concatenate((
+        [(beta - alpha) / (ab + 2)],
+        (beta**2 - alpha**2) / ((2 * k + ab) * (2 * k + ab + 2)),
+    ))
+    k = k[1:]
+    off = np.sqrt(np.concatenate((
+        [4 * (1 + alpha) * (1 + beta) / ((2 + ab) ** 2 * (3 + ab))],
+        4 * k * (k + alpha) * (k + beta) * (k + ab)
+        / ((2 * k + ab) ** 2 * (2 * k + ab + 1) * (2 * k + ab - 1)),
+    )))
+    nodes, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    log_mu0 = (
+        (ab + 1) * math.log(2) + math.lgamma(alpha + 1) + math.lgamma(beta + 1)
+        - math.lgamma(ab + 2)
+    )
+    return nodes, math.exp(log_mu0) * vectors[0] ** 2
+
+
 def beta_integral_oracle(
     d: RationalLike,
     e: RationalLike,
@@ -199,11 +230,12 @@ def beta_integral_oracle(
 ) -> float:
     """Integrate x^(d-1) (1-x)^(e-d-1) * F(x) over [0, 1] by quadrature.
 
-    The endpoint weight is absorbed into a Gauss-Jacobi rule, so only the
-    series factor is sampled (at strictly interior nodes); the rule size
-    doubles until two successive estimates agree to ``rel_tol``.  The
-    ``argument`` field of ``inner`` is ignored: the series is evaluated
-    in x across the quadrature nodes.
+    The endpoint weight is absorbed into a Gauss-Jacobi rule (built by
+    ``_gauss_jacobi``), so only the series factor is sampled, in float64
+    at strictly interior nodes; the rule size doubles until two
+    successive estimates agree to ``rel_tol``.  The ``argument`` field
+    of ``inner`` is ignored: the series is evaluated in x across the
+    quadrature nodes.
     """
     d = as_rational(d)
     e = as_rational(e)
@@ -227,7 +259,7 @@ def beta_integral_oracle(
     estimates = []
     n = 24
     while n <= max_nodes:
-        nodes, weights = roots_jacobi(n, alpha, beta)
+        nodes, weights = _gauss_jacobi(n, alpha, beta)
         xs = (1.0 + nodes) / 2.0
         values = _series_values_on_nodes(inner, xs)
         estimates.append(scale * float(weights @ values))
@@ -250,7 +282,8 @@ class CaseProfile:
     Rational parameters are drawn with numerator and denominator bounded
     by ``max_abs`` in absolute value; every drawn tuple must construct
     its transform without a violated condition, plus the extra filters
-    recorded here.
+    recorded here.  Every drawn case also has e - d >= 1 and weight
+    coefficients at most 10**6 in absolute value.
     """
 
     kind: str = "thomae"
@@ -259,11 +292,9 @@ class CaseProfile:
     max_shift: int = 3
     max_abs: int = 12
     min_excess: Fraction = Fraction(1)
-    min_ed: Fraction = Fraction(1)
     max_n: int = 6
     argument: Fraction = Fraction(3, 10)
     positive_source: bool = False
-    max_weight_coeff: int = 10**6
     attempts_per_case: int = 400
 
 
@@ -299,9 +330,9 @@ def _draw_pairs(rng: random.Random, profile: CaseProfile) -> ParamPairs:
     return ParamPairs(pairs)
 
 
-def _weight_small_enough(transform: TransformResult, cap: int) -> bool:
+def _weight_small_enough(transform: TransformResult) -> bool:
     return all(
-        abs(c.numerator) <= cap * c.denominator for c in transform.polynomial.coefficients
+        abs(c.numerator) <= 10**6 * c.denominator for c in transform.polynomial.coefficients
     )
 
 
@@ -332,14 +363,14 @@ def generate_cases(seed: int, profile: CaseProfile) -> GeneratedCases:
                 params = {"a": a, "b": b, "d": d, "c": c, "e": e, "pairs": pp.pairs}
                 transform = thomae(a, b, d, c, e, pp)
                 s = transform.source.excess()
-                if s < profile.min_excess or (e - d) < profile.min_ed:
+                if s < profile.min_excess or (e - d) < 1:
                     continue
             elif profile.kind == "thomae_terminating":
                 n = rng.randint(0, profile.max_n)
                 b = _draw_rational(rng, profile.max_abs, positive)
                 d = _draw_rational(rng, profile.max_abs, positive)
                 c = _draw_rational(rng, profile.max_abs, positive)
-                e = d + profile.min_ed + Fraction(rng.randint(0, 3 * profile.max_abs), profile.max_abs)
+                e = d + 1 + Fraction(rng.randint(0, 3 * profile.max_abs), profile.max_abs)
                 params = {"n": n, "b": b, "d": d, "c": c, "e": e, "pairs": pp.pairs}
                 transform = thomae_terminating(n, b, d, c, e, pp)
             elif profile.kind in ("euler1", "euler2"):
@@ -357,7 +388,7 @@ def generate_cases(seed: int, profile: CaseProfile) -> GeneratedCases:
                 + transform.source.denominator_params
             ):
                 continue
-            if not _weight_small_enough(transform, profile.max_weight_coeff):
+            if not _weight_small_enough(transform):
                 continue
         except PreconditionError:
             continue

@@ -212,9 +212,40 @@ class TestVerifyCommand:
         assert captured.err.startswith("error[invalid_input]: ")
         assert " must be at least " in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--theorem", "2", "--count", "1", "--tol", "0"),
+            ("verify", "--theorem", "3", "--sweep-small", "--tol=-1e-10"),
+            ("verify", "--config", '{"theorem": "2", "count": 1, "tol": 0}'),
+            ("eval", "--numerators", "1/3,1/4", "--denominators", "3", "--x", "1", "--tol", "0"),
+            ("eval", "--numerators", "1/3", "--x=-1/2", "--tol", "nan"),
+        ],
+    )
+    def test_nonpositive_tol(self, argv, capsys):
+        assert cli.main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[invalid_input]: tol must be positive, got ")
+
+    @pytest.mark.parametrize("x", ["1", "1/2"])
+    def test_unknown_acceleration(self, x, capsys):
+        config = {"numerators": ["1/3", "1/4"], "denominators": ["3"], "x": x,
+                  "acceleration": "aitken"}
+        assert cli.main(["eval", "--config", json.dumps(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error[invalid_input]: unknown acceleration 'aitken'\n"
+
     def test_zero_count_is_an_empty_suite(self, capsys):
         assert cli.main(["verify", "--theorem", "2", "--count", "0"]) == 0
         assert capsys.readouterr().out == "summary: 0/0 passed, 0 failed, 0 inconclusive\n"
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, thomae.cli; assert 'scipy' not in sys.modules, 'scipy was imported'"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 class TestJsonRoundTrip:

@@ -3,6 +3,7 @@ summation inside the disk and at unit argument, and gamma ratios."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from scipy import integrate
 
 from thomae.errors import PreconditionError
 from thomae.exact import ParamPairs, pochhammer
@@ -200,7 +200,9 @@ class TestGammaRatio:
     def test_matches_quadrature_of_beta_integral(self):
         # B(1/2, 1) = integral of t^(-1/2) over [0,1] = 2
         val = gamma_ratio([F(1, 2), F(1)], [F(3, 2)])
-        oracle, _ = integrate.quad(lambda t: t ** (-0.5), 0, 1)
+        # at 15 digits mp.quad misses 2 by 5e-10 (the endpoint singularity)
+        with mp.workdps(30):
+            oracle = mp.quad(lambda t: t ** (-0.5), [0, 1])
         assert abs(float(val) - oracle) < 1e-10
 
     def test_unit_argument_prefactor_closed_form(self):
@@ -303,16 +305,29 @@ def test_numeric_paths_bit_identical(name):
     assert res.terms_used == terms
 
 
-def _gauss_sum(a, b, c):
-    """Gauss: 2F1(a, b; c; 1) = G(c) G(c-a-b) / (G(c-a) G(c-b)), at 60 digits."""
+def _gamma_quotient(ups, downs):
+    """prod G(u) / prod G(v) over rationals, at 60 digits."""
     def m(q):
         return mpf(q.numerator) / q.denominator
 
     with mp.workdps(60):
-        return (
-            mpmath.gamma(m(c)) * mpmath.gamma(m(c - a - b))
-            * mpmath.rgamma(m(c - a)) * mpmath.rgamma(m(c - b))
-        )
+        return mpmath.fprod([mpmath.gamma(m(u)) for u in ups] + [mpmath.rgamma(m(v)) for v in downs])
+
+
+def _draw_parameter(rng, hi):
+    """Quarters plus sevenths, up to about 3 * hi, never a nonpositive integer."""
+    while True:
+        x = F(rng.randint(-4 * hi, 12 * hi), 4) + F(rng.randint(0, 5), 7)
+        if x.denominator != 1 or x > 0:
+            return x
+
+
+def _has_pole(params):
+    return any(p.denominator == 1 and p <= 0 for p in params)
+
+
+def _rising(x, n):
+    return math.prod((x + k for k in range(n)), start=F(1))
 
 
 class TestBoundEncloses:
@@ -320,28 +335,78 @@ class TestBoundEncloses:
 
     EXCESS = (F(1, 10), F(1, 7), F(1, 3), F(1, 2), F(1), F(5, 2))
 
+    def _check_unit_argument(self, cases):
+        """Each (numerators, denominators, closed form): the bound encloses the error."""
+        checked = 0
+        for nums, dens, (ups, downs) in cases:
+            if _has_pole(nums + dens):
+                continue
+            res = eval_numeric(SeriesSpec(nums, dens, 1))
+            with mp.workdps(60):
+                exact = _gamma_quotient(ups, downs)
+                assert abs(res.value - exact) <= res.abs_error_bound, (nums, dens)
+            checked += 1
+        return checked
+
     def test_gauss_unit_argument(self):
         rng = random.Random(2026)
 
-        def draw(hi):
-            # quarters plus sevenths, never a nonpositive integer
-            while True:
-                x = F(rng.randint(-4 * hi, 12 * hi), 4) + F(rng.randint(0, 5), 7)
-                if x.denominator != 1 or x > 0:
-                    return x
-
-        checked = 0
-        for i in range(18):
+        def gauss(i):
             s, hi = self.EXCESS[i % 6], (1, 4, 12)[i // 6]  # parameters up to ~50
-            a, b = draw(hi), draw(hi)
+            a, b = _draw_parameter(rng, hi), _draw_parameter(rng, hi)
             c = a + b + s
-            if c.denominator == 1 and c <= 0:
+            return [a, b], [c], ([c, c - a - b], [c - a, c - b])
+
+        assert self._check_unit_argument(gauss(i) for i in range(18)) >= 15
+
+    def test_dixon_unit_argument(self):
+        # 3F2(a, b, c; 1+a-b, 1+a-c; 1), excess 2 + a - 2b - 2c
+        rng = random.Random(2027)
+
+        def dixon(i):
+            s, hi = self.EXCESS[i % 6], (1, 2, 4)[i // 6]
+            a, b = _draw_parameter(rng, hi), _draw_parameter(rng, hi)
+            c = (2 + a - 2 * b - s) / 2
+            half = a / 2
+            return [a, b, c], [1 + a - b, 1 + a - c], (
+                [1 + half, 1 + a - b, 1 + a - c, 1 + half - b - c],
+                [1 + a, 1 + half - b, 1 + half - c, 1 + a - b - c],
+            )
+
+        assert self._check_unit_argument(dixon(i) for i in range(18)) >= 15
+
+    def test_watson_unit_argument(self):
+        # 3F2(a, b, c; (a+b+1)/2, 2c; 1), excess c - (a+b-1)/2
+        rng = random.Random(2028)
+
+        def watson(i):
+            s, hi = self.EXCESS[i % 6], (1, 2, 4)[i // 6]
+            a, b = _draw_parameter(rng, hi), _draw_parameter(rng, hi)
+            c = s + (a + b - 1) / 2
+            return [a, b, c], [(a + b + 1) / 2, 2 * c], (
+                [F(1, 2), c + F(1, 2), (a + b + 1) / 2, s],
+                [(a + 1) / 2, (b + 1) / 2, c - (a - 1) / 2, c - (b - 1) / 2],
+            )
+
+        assert self._check_unit_argument(watson(i) for i in range(18)) >= 15
+
+    def test_pfaff_saalschutz_exact(self):
+        # 3F2(-n, a, b; c, 1+a+b-c-n; 1) = (c-a)_n (c-b)_n / ((c)_n (c-a-b)_n)
+        rng = random.Random(2029)
+        checked = 0
+        for i in range(40):
+            n = i % 8
+            a, b, c = (_draw_parameter(rng, 2) for _ in range(3))
+            dens = [c, 1 + a + b - c - n]
+            if _has_pole(dens):
                 continue
-            res = eval_numeric(SeriesSpec([a, b], [c], 1))
-            with mp.workdps(60):
-                assert abs(res.value - _gauss_sum(a, b, c)) <= res.abs_error_bound, (a, b, c)
+            res = eval_numeric(SeriesSpec([-n, a, b], dens, 1))
+            assert res.terminated_exactly
+            assert res.exact_value == (
+                _rising(c - a, n) * _rising(c - b, n) / (_rising(c, n) * _rising(c - a - b, n))
+            ), (n, a, b, c)
             checked += 1
-        assert checked >= 15
+        assert checked >= 30
 
     @pytest.mark.parametrize("x", [F(-9, 10), F(-1, 2), F(3, 10), F(9, 10)])
     def test_weighted_inside_disk(self, x):

@@ -6,6 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpf
 
 from thomae.errors import PreconditionError
 from thomae.exact import ParamPairs
@@ -13,6 +14,7 @@ from thomae.series import SeriesSpec, eval_numeric, gamma_ratio
 from thomae.transforms import thomae, thomae_terminating
 from thomae.verification import (
     CaseProfile,
+    _gauss_jacobi,
     beta_integral_oracle,
     generate_cases,
     terminating_sweep,
@@ -46,6 +48,21 @@ class TestVerifyTransform:
         t = thomae(F(1, 3), F(1, 4), F(1, 5), F(2), F(3), ParamPairs())
         report = verify_transform(t)
         assert any("excess_not_positive: ok" in line for line in report.precondition_log)
+
+
+class TestGaussJacobiRule:
+    # alpha + beta = -1 and alpha + beta = 0 are where the general formulas
+    # for the first Jacobi-matrix entries are 0/0
+    @pytest.mark.parametrize("alpha, beta", [(-0.5, -0.5), (0.0, 0.0), (2.5, -0.25), (-0.9, 3.7)])
+    @pytest.mark.parametrize("n", [24, 96, 384])
+    def test_moments_exact_below_degree_2n(self, alpha, beta, n):
+        # sum w_i (1 + x_i)^j = 2^(alpha+beta+1+j) B(alpha+1, beta+1+j) for j < 2n
+        nodes, weights = _gauss_jacobi(n, alpha, beta)
+        with mp.workdps(30):
+            for j in (0, 1, 2, 7, n - 1, n, 2 * n - 1):
+                got = mp.fsum(mpf(w) * (1 + mpf(x)) ** j for x, w in zip(nodes, weights))
+                exact = mpf(2) ** (alpha + beta + 1 + j) * mp.beta(alpha + 1, beta + 1 + j)
+                assert abs(got / exact - 1) <= 1e-12, j
 
 
 class TestBetaIntegralOracle:
