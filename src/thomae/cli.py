@@ -179,7 +179,7 @@ def _series_payload(spec) -> dict:
 
 
 def run_poly(config: dict) -> dict:
-    tol = _typed("tol", config.get("tol", 1e-13), float)
+    tol = _tolerance(config, 1e-13)
     builder, kwargs = _builder_arguments(_POLYNOMIALS, config, "polynomial")
     poly = getattr(polynomials, builder)(**kwargs)
     outputs: dict = {"kind": config["kind"]}
@@ -232,7 +232,7 @@ def _prefactor_payload(transform: TransformResult, precision: int) -> dict:
 
 def run_transform(config: dict) -> dict:
     precision = _typed("precision", config.get("precision", 50), int, minimum=1)
-    tol = _typed("tol", config.get("tol", 1e-13), float)
+    tol = _tolerance(config, 1e-13)
     transform = _build_transform(config)
     outputs = {
         "kind": transform.kind,

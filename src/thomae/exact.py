@@ -8,6 +8,7 @@ differ by positive integers.  Everything in this module is computed over
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -39,21 +40,38 @@ def pochhammer(a: RationalLike, n: int) -> Fraction:
 
 def pochhammer_product(params: Iterable[RationalLike], k: int) -> Fraction:
     """Product of ascending factorials (a_1)_k ... (a_p)_k; empty list gives 1."""
-    out = Fraction(1)
-    for a in params:
-        out *= pochhammer(a, k)
-    return out
+    return math.prod((pochhammer(a, k) for a in params), start=Fraction(1))
+
+
+def hypergeometric_terms(
+    numerators: Iterable[RationalLike],
+    denominators: Iterable[RationalLike],
+    x: RationalLike,
+    count: int,
+) -> list[Fraction]:
+    """Terms k = 0..count-1 of the series sum_k prod_a (a)_k / (prod_b (b)_k k!) x^k.
+
+    Built from the term ratio; callers rule out a vanishing b + k (k < count - 1).
+    """
+    nums = [as_rational(a) for a in numerators]
+    dens = [as_rational(b) for b in denominators]
+    x = as_rational(x)
+    terms = [Fraction(1)]
+    for k in range(count - 1):
+        ratio = x / (k + 1)
+        for a in nums:
+            ratio *= a + k
+        for b in dens:
+            ratio /= b + k
+        terms.append(terms[-1] * ratio)
+    return terms[:count]
 
 
 def falling_factorial(x: RationalLike, k: int) -> Fraction:
     """Descending factorial x(x-1)...(x-k+1)."""
     if k < 0:
         raise ValueError("descending factorial needs k >= 0")
-    x = as_rational(x)
-    out = Fraction(1)
-    for i in range(k):
-        out *= x - i
-    return out
+    return (-1) ** k * pochhammer(-as_rational(x), k)  # x(x-1)... = (-1)^k (-x)(-x+1)...
 
 
 _STIRLING_ROWS: list[list[int]] = [[1]]
@@ -123,10 +141,7 @@ class ParamPairs:
     @property
     def poch_product(self) -> Fraction:
         """(f_1)_{shift_1} ... (f_r)_{shift_r}, guaranteed nonzero."""
-        out = Fraction(1)
-        for f, shift in self.pairs:
-            out *= pochhammer(f, shift)
-        return out
+        return math.prod((pochhammer(f, shift) for f, shift in self.pairs), start=Fraction(1))
 
     def numerator_parameters(self) -> tuple[Fraction, ...]:
         return tuple(f + shift for f, shift in self.pairs)
@@ -184,17 +199,5 @@ def c_via_terminating_series(pp: ParamPairs, k: int) -> Fraction:
     """
     if k < 0 or k > pp.total_shift:
         raise ValueError(f"index {k} outside 0..{pp.total_shift}")
-    total = Fraction(0)
-    term = Fraction(1)  # i = 0 value of (-k)_i * prod / i!
-    for i in range(k + 1):
-        total += term
-        # advance i -> i+1
-        ratio = Fraction(-k + i, i + 1)
-        for f, shift in pp.pairs:
-            ratio *= (f + shift + i) / (f + i)
-        term *= ratio
-    sign = -1 if k % 2 else 1
-    factorial_k = 1
-    for i in range(2, k + 1):
-        factorial_k *= i
-    return Fraction(sign, factorial_k) * total
+    nums, dens = [-k, *pp.numerator_parameters()], pp.denominator_parameters()
+    return Fraction((-1) ** k, math.factorial(k)) * sum(hypergeometric_terms(nums, dens, 1, k + 1))

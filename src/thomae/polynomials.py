@@ -14,10 +14,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import NonConvergenceError, PreconditionError
-from .exact import ParamPairs, RationalLike, as_rational, c_coefficients, pochhammer
+from .exact import (
+    ParamPairs, RationalLike, as_rational, c_coefficients, hypergeometric_terms, pochhammer
+)
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,6 @@ class RationalPolynomial:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    @classmethod
-    def constant(cls, value: RationalLike) -> "RationalPolynomial":
-        return cls([as_rational(value)])
 
     @property
     def degree(self) -> int:
@@ -142,29 +140,49 @@ class RationalPolynomial:
 def rising_factorial_poly(offset: RationalLike, count: int) -> RationalPolynomial:
     """The polynomial (t + offset)(t + offset + 1)...(count factors)."""
     offset = as_rational(offset)
-    out = RationalPolynomial.constant(1)
+    p, q = offset.numerator, offset.denominator
+    coeffs = [1]  # over integers: the product of (q t + p + i q), divided by q^count at the end
     for i in range(count):
-        out = out * RationalPolynomial([offset + i, 1])
-    return out
+        coeffs = [(p + i * q) * c + q * lower for c, lower in zip(coeffs + [0], [0] + coeffs)]
+    return RationalPolynomial(Fraction(c, q**count) for c in coeffs)
 
 
-def reversed_rising_poly(base: RationalLike, count: int) -> RationalPolynomial:
-    """The polynomial (base - t)(base - t + 1)...(count factors)."""
-    base = as_rational(base)
-    out = RationalPolynomial.constant(1)
-    for i in range(count):
-        out = out * RationalPolynomial([base + i, -1])
-    return out
+def _rising_sum(coefficients: Sequence[Fraction], offset: RationalLike = 0) -> RationalPolynomial:
+    """sum_j coefficients[j] (t+offset)_j in the monomial basis."""
+    terms = (h * rising_factorial_poly(offset, j) for j, h in enumerate(coefficients))
+    return sum(terms, RationalPolynomial())
+
+
+def _weight_polynomial(
+    pp: ParamPairs, front: Sequence[Fraction], inner: Callable[[int], list[Fraction]]
+) -> RationalPolynomial:
+    """sum_k front[k] C_k (t)_k sum_i inner(k)[i] (t+k)_i, with C_k from c_coefficients.
+
+    Since (t)_k (t+k)_i = (t)_{k+i}, this is sum_j h_j (t)_j with the
+    scalars h_j = sum_{k+i=j} front[k] C_k inner(k)[i].
+    """
+    h = [Fraction(0)] * len(front)
+    for k, ck in enumerate(c_coefficients(pp)):
+        for i, g in enumerate(inner(k)):
+            h[k + i] += front[k] * ck * g
+    return _rising_sum(h)
+
+
+def _g_coefficients(m: int, k: int, a: Fraction, b: Fraction, c: Fraction) -> list[Fraction]:
+    """g_0..g_{m-k}, the coefficients of G_{m,k} in the basis (t+k)_i."""
+    return hypergeometric_terms(
+        [-m + k, c - a - b - m], [c - a - m + k, c - b - m + k], 1, m - k + 1
+    )
 
 
 def build_G(m: int, k: int, a: RationalLike, b: RationalLike, c: RationalLike) -> RationalPolynomial:
-    """Inner terminating-sum polynomial of degree m - k used by build_Qhat.
+    """Inner terminating-sum polynomial of degree m - k in Q^'s expansion.
 
     G(t) = sum_{i=0}^{m-k} [(-m+k)_i (c-a-b-m)_i] /
            [(c-a-m+k)_i (c-b-m+k)_i i!] * (t+k)(t+k+1)...(i factors)
     """
     if not 0 <= k <= m:
-        raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
+        raise PreconditionError("invalid_g_index", f"need 0 <= k <= m, got k={k}, m={m}")
     a, b, c = as_rational(a), as_rational(b), as_rational(c)
     den1 = c - a - m + k
     den2 = c - b - m + k
@@ -175,23 +193,22 @@ def build_G(m: int, k: int, a: RationalLike, b: RationalLike, c: RationalLike) -
                 f"denominator factor vanishes at step {i}: "
                 f"(c-a-m+k)={den1}, (c-b-m+k)={den2}",
             )
-    total = RationalPolynomial.constant(1)
-    coeff = Fraction(1)
-    for i in range(1, m - k + 1):
-        coeff *= Fraction(-m + k + i - 1) * (c - a - b - m + i - 1)
-        coeff /= (den1 + i - 1) * (den2 + i - 1) * i
-        total = total + coeff * rising_factorial_poly(k, i)
-    return total
+    return _rising_sum(_g_coefficients(m, k, a, b, c), k)
 
 
 def build_Q(pp: ParamPairs, b: RationalLike, c: RationalLike) -> RationalPolynomial:
     """First parametric weight polynomial, degree total_shift, value 1 at 0.
 
-    Built from the expansion
+    Defined by the expansion
         Q(t) = (1/(L)_m) * sum_k (b)_k C_k (t)_k (L - t)_{m-k},
     where m is the total shift and the base offset is L = c - b - m.  This
     offset choice is the one consistent with the degree-1 and degree-2
     closed forms and with the exact terminating transformation identities.
+
+    Built in the rising-factorial basis.  By Chu-Vandermonde,
+        (L - t)_{m-k} / (L+k)_{m-k} = sum_i (-m+k)_i / ((L+k)_i i!) (t+k)_i,
+    and (L)_m = (L)_k (L+k)_{m-k}, so the k-th front factor is (b)_k / (L)_k.
+    The cbm check rules out every divisor L + j (j < m).
     """
     b, c = as_rational(b), as_rational(c)
     m = pp.total_shift
@@ -205,14 +222,10 @@ def build_Q(pp: ParamPairs, b: RationalLike, c: RationalLike) -> RationalPolynom
         raise PreconditionError(
             "cbm_pochhammer_zero", f"(c-b-m)_m vanishes for c-b-m={lam}, m={m}"
         )
-    cks = c_coefficients(pp)
-    total = RationalPolynomial()
-    bk = Fraction(1)
-    for k in range(m + 1):
-        term = bk * cks[k] * rising_factorial_poly(0, k) * reversed_rising_poly(lam, m - k)
-        total = total + term
-        bk *= b + k
-    return total * (Fraction(1) / pochhammer(lam, m))
+    front = hypergeometric_terms([b, 1], [lam], 1, m + 1)  # (b)_k / (L)_k
+    return _weight_polynomial(
+        pp, front, lambda k: hypergeometric_terms([-m + k], [lam + k], 1, m - k + 1)
+    )
 
 
 def build_Qhat(
@@ -221,6 +234,11 @@ def build_Qhat(
     """Second parametric weight polynomial, degree total_shift, value 1 at 0.
 
     Q^(t) = sum_k [(-1)^k C_k (a)_k (b)_k / ((c-a-m)_k (c-b-m)_k)] (t)_k G_{m,k}(t).
+
+    Built in the rising-factorial basis from G's coefficients, with no G
+    polynomial.  build_G's degenerate_g_denominator cannot fire here: G_{m,k}
+    divides only by c-a-m+j and c-b-m+j with j < m, which the cam and cbm
+    checks below rule out.
     """
     a, b, c = as_rational(a), as_rational(b), as_rational(c)
     m = pp.total_shift
@@ -232,15 +250,8 @@ def build_Qhat(
         raise PreconditionError(
             "cbm_pochhammer_zero", f"(c-b-m)_m vanishes for c-b-m={c - b - m}, m={m}"
         )
-    cks = c_coefficients(pp)
-    total = RationalPolynomial()
-    front = Fraction(1)  # (-1)^k (a)_k (b)_k / ((c-a-m)_k (c-b-m)_k)
-    for k in range(m + 1):
-        term = front * cks[k] * rising_factorial_poly(0, k) * build_G(m, k, a, b, c)
-        total = total + term
-        if k < m:
-            front *= -(a + k) * (b + k) / ((c - a - m + k) * (c - b - m + k))
-    return total
+    front = hypergeometric_terms([a, b, 1], [c - a - m, c - b - m], -1, m + 1)
+    return _weight_polynomial(pp, front, lambda k: _g_coefficients(m, k, a, b, c))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from mpmath import mp, mpf
 
 from .errors import PreconditionError
-from .exact import RationalLike, as_rational
+from .exact import RationalLike, as_rational, hypergeometric_terms
 from .polynomials import RationalPolynomial
 
 
@@ -192,20 +192,11 @@ def eval_terminating(spec: AnySeries) -> Fraction:
             "no numerator parameter is a nonpositive integer; series does not terminate",
         )
     nums, dens = spec.kernel_numerators, spec.kernel_denominators
+    terms = hypergeometric_terms(nums, dens, spec.argument, n + 1)
     weight = spec.weight
-    x = spec.argument
-    total = Fraction(0)
-    kernel = Fraction(1)
-    for k in range(n + 1):
-        total += kernel * (weight.evaluate(-k) if weight is not None else 1)
-        if k < n:
-            ratio = x
-            for a in nums:
-                ratio *= a + k
-            for b in dens:
-                ratio /= b + k
-            kernel *= ratio / (k + 1)
-    return total
+    if weight is not None:
+        terms = [term * weight.evaluate(-k) for k, term in enumerate(terms)]
+    return sum(terms, Fraction(0))
 
 
 def _max_param_magnitude(spec: AnySeries) -> float:

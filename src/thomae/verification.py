@@ -19,7 +19,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .errors import NonConvergenceError, PreconditionError
-from .exact import ParamPairs, RationalLike, as_rational
+from .exact import ParamPairs, RationalLike, as_rational, hypergeometric_terms
 from .series import SeriesSpec, eval_numeric, eval_terminating
 from .transforms import (
     PochhammerRatioPrefactor,
@@ -141,18 +141,9 @@ def _series_values_on_nodes(inner: SeriesSpec, xs: np.ndarray) -> np.ndarray:
     """
     n = inner.termination_index()
     if n is not None:
-        coeffs = []
-        kernel = Fraction(1)
-        for k in range(n + 1):
-            coeffs.append(float(kernel))
-            if k < n:
-                for a in inner.numerator_params:
-                    kernel *= a + k
-                for b in inner.denominator_params:
-                    kernel /= b + k
-                kernel /= k + 1
+        coeffs = hypergeometric_terms(inner.numerator_params, inner.denominator_params, 1, n + 1)
         powers = np.vander(xs, n + 1, increasing=True)
-        return powers @ np.asarray(coeffs)
+        return powers @ np.asarray([float(c) for c in coeffs])
 
     nums = [float(a) for a in inner.numerator_params]
     dens = [float(b) for b in inner.denominator_params]

@@ -22,6 +22,19 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+# Calls that run the zero finder, as flags and as the equivalent --config.
+_ZERO_FINDER_FLAGS = [
+    ("poly", "--kind", "qhat", "--a", "1/4", "--b", "5/2", "--c", "3/2", "--pairs", "1/2:2"),
+    ("transform", "--theorem", "thomae", "--a", "1/4", "--b", "5/2", "--d", "1", "--c", "3/2",
+     "--e", "8", "--pairs", "1/2:2"),
+]
+_ZERO_FINDER_CONFIGS = [
+    ("poly", {"kind": "qhat", "a": "1/4", "b": "5/2", "c": "3/2", "pairs": [["1/2", 2]]}),
+    ("transform", {"kind": "thomae", "a": "1/4", "b": "5/2", "d": "1", "c": "3/2", "e": "8",
+                   "pairs": [["1/2", 2]]}),
+]
+
+
 class TestPolyCommand:
     def test_quadratic_second_kind(self):
         result = run_cli(
@@ -63,6 +76,14 @@ class TestPolyCommand:
         assert result.returncode == 2
         assert result.stderr.startswith("error[NonConvergenceError]")
         assert "Traceback" not in result.stderr
+
+    def test_g_index_out_of_range_is_named(self, capsys):
+        argv = ["poly", "--kind", "g", "--m", "2", "--k", "3",
+                "--a", "1", "--b", "1/2", "--c", "1/3"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error[invalid_g_index]: need 0 <= k <= m, got k=3, m=2\n"
 
 
 class TestTransformCommand:
@@ -220,6 +241,10 @@ class TestVerifyCommand:
             ("verify", "--config", '{"theorem": "2", "count": 1, "tol": 0}'),
             ("eval", "--numerators", "1/3,1/4", "--denominators", "3", "--x", "1", "--tol", "0"),
             ("eval", "--numerators", "1/3", "--x=-1/2", "--tol", "nan"),
+            *[(*flags, f"--tol={tol}")
+              for flags in _ZERO_FINDER_FLAGS for tol in ("nan", "0", "-1")],
+            *[(command, "--config", json.dumps(config | {"tol": tol}))
+              for command, config in _ZERO_FINDER_CONFIGS for tol in (float("nan"), 0, -1)],
         ],
     )
     def test_nonpositive_tol(self, argv, capsys):

@@ -18,6 +18,7 @@ from thomae.exact import (
     c_coefficients,
     c_via_terminating_series,
     falling_factorial,
+    hypergeometric_terms,
     pochhammer,
     pochhammer_product,
     sigma_coefficients,
@@ -48,6 +49,28 @@ class TestPochhammer:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             pochhammer(1, -1)
+
+
+class TestHypergeometricTerms:
+    def test_against_pochhammer_products(self):
+        rng = random.Random(29)
+        draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))  # noqa: E731
+        for _ in range(40):
+            nums = [draw() for _ in range(rng.randint(0, 3))]
+            dens = [draw() + Fraction(1, 7) for _ in range(rng.randint(0, 3))]  # no poles
+            x = draw()
+            count = rng.randint(0, 12)
+            terms = hypergeometric_terms(nums, dens, x, count)
+            assert len(terms) == count
+            for k, term in enumerate(terms):
+                expected = pochhammer_product(nums, k) * x**k
+                assert term == expected / (pochhammer_product(dens, k) * math.factorial(k))
+
+    def test_terminates_and_accepts_exact_inputs(self):
+        # (-2)_k stops the series after k = 2; ints and strings are exact rationals
+        terms = hypergeometric_terms([-2, "1/2"], [3], 2, 5)
+        assert terms == [1, Fraction(-2, 3), Fraction(1, 4), 0, 0]
+        assert hypergeometric_terms([], [], 1, 1) == [1]
 
 
 class TestStirling2:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from thomae.polynomials import (
     build_Q,
     build_Qhat,
     find_zeros,
-    reversed_rising_poly,
     rising_factorial_poly,
 )
 
@@ -63,8 +63,13 @@ class TestRationalPolynomial:
 
     def test_factor_builders(self):
         assert rising_factorial_poly(0, 2).coefficients == (F(0), F(1), F(1))
-        # (5 - t)(6 - t) = 30 - 11 t + t^2
-        assert reversed_rising_poly(5, 2).coefficients == (F(30), F(-11), F(1))
+        # (t + 1/2)(t + 3/2) = 3/4 + 2 t + t^2
+        assert rising_factorial_poly(F(1, 2), 2).coefficients == (F(3, 4), F(2), F(1))
+        assert rising_factorial_poly(F(-2, 3), 0).coefficients == (F(1),)
+        for offset in (F(0), F(3), F(-5, 7), F(11, 4)):
+            p = rising_factorial_poly(offset, 6)
+            for t in (F(0), F(-3), F(2, 9)):
+                assert p.evaluate(t) == pochhammer(t + offset, 6)
 
 
 class TestBuildG:
@@ -309,3 +314,71 @@ class TestEvaluation:
             for k in range(m + 1)
         ) / pochhammer(lam, m)
         assert q.evaluate(t) == direct
+
+
+class TestDefiningSums:
+    """The weight polynomials at high degree against their defining sums.
+
+    Each sum is evaluated pointwise in Fractions from plain ascending
+    factorials, without the rising-factorial basis the builders use.  Two
+    polynomials of degree <= m that agree at m + 1 distinct points are
+    equal.
+    """
+
+    A, B, C = F(1, 4), F(5, 7), F(3, 2)
+    PAIRS = {
+        8: [(F(1, 3), 3), (F(2, 7), 5)],
+        16: [(F(1, 3), 8), (F(5, 2), 8)],
+        24: [(F(1, 3), 8), (F(2, 7), 8), (F(7, 5), 8)],
+    }
+
+    @staticmethod
+    def _points(m):
+        return [F(j, 3) - F(m, 5) for j in range(m + 1)]
+
+    @staticmethod
+    def _g_value(m, k, a, b, c, t):
+        return sum(
+            pochhammer(-m + k, i) * pochhammer(c - a - b - m, i) * pochhammer(t + k, i)
+            / (pochhammer(c - a - m + k, i) * pochhammer(c - b - m + k, i) * math.factorial(i))
+            for i in range(m - k + 1)
+        )
+
+    def _assert_matches(self, poly, m, value_at):
+        assert poly.degree <= m
+        for t in self._points(m):
+            assert poly.evaluate(t) == value_at(t)
+
+    @pytest.mark.parametrize("m", [8, 16, 24])
+    def test_q(self, m):
+        pp = ParamPairs(self.PAIRS[m])
+        b, c = self.B, self.C
+        lam = c - b - m
+        cs = c_coefficients(pp)
+        self._assert_matches(build_Q(pp, b, c), m, lambda t: sum(
+            pochhammer(b, k) * cs[k] * pochhammer(t, k) * pochhammer(lam - t, m - k)
+            for k in range(m + 1)
+        ) / pochhammer(lam, m))
+
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_qhat(self, m):
+        pp = ParamPairs(self.PAIRS[m])
+        a, b, c = self.A, self.B, self.C
+        cs = c_coefficients(pp)
+        fronts = [
+            (-1) ** k * pochhammer(a, k) * pochhammer(b, k)
+            / (pochhammer(c - a - m, k) * pochhammer(c - b - m, k))
+            for k in range(m + 1)
+        ]
+        self._assert_matches(build_Qhat(pp, a, b, c), m, lambda t: sum(
+            fronts[k] * cs[k] * pochhammer(t, k) * self._g_value(m, k, a, b, c, t)
+            for k in range(m + 1)
+        ))
+
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_g(self, m):
+        a, b, c = self.A, self.B, self.C
+        for k in (0, m // 2, m):
+            g = build_G(m, k, a, b, c)
+            assert g.degree == m - k
+            self._assert_matches(g, m, lambda t: self._g_value(m, k, a, b, c, t))
