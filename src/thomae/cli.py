@@ -6,14 +6,19 @@ theorems and describe the result), ``eval`` (evaluate a series spec),
 and ``verify`` (run identity checks: seeded random suites, the exact
 terminating sweep, or a single case).
 
-Every command renders a report derived purely from a normalized input
+Each command's flags are declared once, in one table per command that
+builds the parser, the normalized ``inputs`` dict and the runners'
+defaults.  Every command renders a report derived purely from that
 dict, so ``--config '<json>'`` reproduces byte-identical output from the
 ``inputs`` object of a previous ``--json`` report.  Exact rationals
 serialize as ``p/q`` strings; floats as decimal strings at a declared
 precision.
 
-Exit codes: 0 success / all passed, 1 verification failure, 2 invalid
-input or violated precondition.
+Exit codes: 0 success / all passed, 1 verification failure, 2 a usage
+error or any ThomaeError (invalid input, a violated precondition, a
+numeric procedure that did not converge), reported with its condition
+code.  Any other exception is a fault in the program and ends in a
+traceback.
 """
 
 from __future__ import annotations
@@ -60,11 +65,17 @@ _INTEGER_KEYS = ("n", "m", "k")
 _TYPE_NAMES = {Fraction: "a rational 'p/q' or integer", int: "an integer", float: "a number"}
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str) -> str:
+    """A rational flag as its normalized 'p/q' string."""
     try:
-        return Fraction(text)
+        return str(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational 'p/q' or integer: {text!r}") from exc
+
+
+def _rational_list(text: str) -> list[str]:
+    """Comma-separated rationals as normalized 'p/q' strings."""
+    return [_rational(chunk) for chunk in text.split(",") if chunk]
 
 
 def _pairs(text: str) -> list:
@@ -94,7 +105,7 @@ def _typed(key: str, value, kind=Fraction, minimum=None):
     """``value`` converted to ``kind`` and at least ``minimum``, or invalid_input."""
     try:
         converted = kind(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise PreconditionError(
             "invalid_input", f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}"
         ) from exc
@@ -103,9 +114,14 @@ def _typed(key: str, value, kind=Fraction, minimum=None):
     return converted
 
 
-def _tolerance(config: dict, default: float) -> float:
+def _option(command: str, config: dict, key: str, kind=int, minimum=None):
+    """config[key], or else the default of ``command``'s flag, converted by _typed."""
+    return _typed(key, config.get(key, _FLAGS[command][key][0]), kind, minimum)
+
+
+def _tolerance(command: str, config: dict) -> float:
     """The requested tolerance, which must be positive, or invalid_input."""
-    tol = _typed("tol", config.get("tol", default), float)
+    tol = _option(command, config, "tol", float)
     if not tol > 0:  # also rejects nan
         raise PreconditionError("invalid_input", f"tol must be positive, got {tol!r}")
     return tol
@@ -116,6 +132,13 @@ def _rationals(config: dict, key: str) -> list[Fraction]:
     if not isinstance(values, list):
         raise PreconditionError("invalid_input", f"{key} must be a list, got {values!r}")
     return [_typed(key, value) for value in values]
+
+
+def _json_flag(text: str, flag: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise PreconditionError("invalid_input", f"bad {flag} JSON: {exc}") from exc
 
 
 def _json_object(value, what: str) -> dict:
@@ -179,7 +202,7 @@ def _series_payload(spec) -> dict:
 
 
 def run_poly(config: dict) -> dict:
-    tol = _tolerance(config, 1e-13)
+    tol = _tolerance("poly", config)
     builder, kwargs = _builder_arguments(_POLYNOMIALS, config, "polynomial")
     poly = getattr(polynomials, builder)(**kwargs)
     outputs: dict = {"kind": config["kind"]}
@@ -231,8 +254,8 @@ def _prefactor_payload(transform: TransformResult, precision: int) -> dict:
 
 
 def run_transform(config: dict) -> dict:
-    precision = _typed("precision", config.get("precision", 50), int, minimum=1)
-    tol = _tolerance(config, 1e-13)
+    precision = _option("transform", config, "precision", minimum=1)
+    tol = _tolerance("transform", config)
     transform = _build_transform(config)
     outputs = {
         "kind": transform.kind,
@@ -245,7 +268,7 @@ def run_transform(config: dict) -> dict:
         "target": _series_payload(transform.target),
         "weight_zeros": _zeros_payload(transform.polynomial, tol),
     }
-    if config.get("contract", False):
+    if config.get("contract"):
         contracted = contract_pairs(transform.target)
         outputs["contracted"] = _series_payload(contracted)
         outputs["contracted"]["weight_zeros"] = _zeros_payload(contracted.weight, tol)
@@ -292,12 +315,9 @@ def _render_transform(outputs: dict) -> list[str]:
 
 
 def run_eval(config: dict) -> dict:
-    precision = _typed("precision", config.get("precision", 50), int, minimum=1)
-    tol = _tolerance(config, 1e-12)
-    max_terms = _typed("max_terms", config.get("max_terms", 400_000), int, minimum=1)
-    acceleration = config.get("acceleration")
-    if acceleration not in (None, "levin"):
-        raise PreconditionError("invalid_input", f"unknown acceleration {acceleration!r}")
+    precision = _option("eval", config, "precision", minimum=1)
+    tol = _tolerance("eval", config)
+    max_terms = _option("eval", config, "max_terms", minimum=1)
     _require(config, ("numerators", "x"))
     kernel = _rationals(config, "numerators"), _rationals(config, "denominators")
     x = _typed("x", config["x"])
@@ -306,7 +326,7 @@ def run_eval(config: dict) -> dict:
         spec = WeightedSeriesSpec(*kernel, RationalPolynomial(weight), x)
     else:
         spec = SeriesSpec(*kernel, x)
-    result = eval_numeric(spec, precision, tol, max_terms, acceleration)
+    result = eval_numeric(spec, precision, tol, max_terms, config.get("acceleration"))
     outputs = {
         "series": _series_payload(spec),
         "value": _fmt_float(result.value),
@@ -347,13 +367,13 @@ def _report_payload(report) -> dict:
 
 
 def run_verify(config: dict) -> dict:
-    tol = _tolerance(config, 1e-10)
-    budget = _typed("budget", config.get("budget", 40_000), int, minimum=1)
-    precision = _typed("precision", config.get("precision", 50), int, minimum=1)
+    tol = _tolerance("verify", config)
+    budget = _option("verify", config, "budget", minimum=1)
+    precision = _option("verify", config, "precision", minimum=1)
     outputs: dict = {"cases": [], "summary": {}}
     note = None
 
-    if config.get("sweep_small", False):
+    if config.get("sweep_small"):
         summary = terminating_sweep()
         outputs["summary"] = {
             "mode": "terminating-sweep",
@@ -370,9 +390,9 @@ def run_verify(config: dict) -> dict:
         report = verify_transform(transform, tol, budget, precision)
         outputs["cases"].append(_report_payload(report))
     else:
-        theorem = str(config.get("theorem", "2"))
-        count = _typed("count", config.get("count", 20), int, minimum=0)
-        seed = _typed("seed", config.get("seed", 1), int)
+        theorem = _option("verify", config, "theorem", str)
+        count = _option("verify", config, "count", minimum=0)
+        seed = _option("verify", config, "seed")
         argument = _typed("x", config.get("x", "3/10"))
         kinds = {
             "1": ["euler1", "euler2"],
@@ -436,17 +456,65 @@ def _render_verify(outputs: dict) -> list[str]:
     return lines
 
 
-def _verify_exit_code(outputs: dict, strict: bool) -> int:
-    s = outputs["summary"]
-    failed = s.get("failed", 0)
-    if failed:
-        return 1
-    if strict and s.get("inconclusive", 0):
-        return 1
-    return 0
-
-
 # ----------------------------------------------------------------- main
+
+
+def _builder_flags(table: dict) -> dict:
+    """Flag rows for the builder parameters that ``table``'s rows read."""
+    keys = sorted({key for _, keys in table.values() for key in keys})
+    return {
+        key: ("", {"type": _pairs}) if key == "pairs"
+        else (None, {"type": int if key in _INTEGER_KEYS else _rational})
+        for key in keys
+    }
+
+
+# Flag tables, one per command: config key -> (default, argparse keywords);
+# the flag is "--" and the key with "_" written as "-".  A default of None
+# records the key in ``inputs`` only when the flag is given; any other is
+# always recorded (a string one as the flag's type parses it, so each call
+# gets a new list).  The runners read their defaults from here.
+_SWITCH = {"action": "store_true"}
+_PRECISION = {"precision": (50, {"type": int})}
+_FLAGS = {
+    "poly": {
+        "kind": ("q", {"choices": list(_POLYNOMIALS)}),
+        **_builder_flags(_POLYNOMIALS),
+        "tol": (1e-13, {"type": float}),
+    },
+    "transform": {
+        "theorem": ("thomae", {"choices": [kind.replace("_", "-") for kind in _THEOREMS]}),
+        **_builder_flags(_THEOREMS),
+        "contract": (False, _SWITCH),
+        **_PRECISION,
+        "tol": (1e-13, {"type": float}),
+    },
+    "eval": {
+        "numerators": ("", {"type": _rational_list}),
+        "denominators": ("", {"type": _rational_list}),
+        "weight": (None, {"type": _rational_list}),
+        "x": (None, {"type": _rational}),
+        **_PRECISION,
+        "tol": (1e-12, {"type": float}),
+        "max_terms": (400_000, {"type": int}),
+        "acceleration": (None, {"choices": ["levin"]}),
+    },
+    "verify": {
+        "theorem": ("2", {"help": (
+            "identity family: 1 or euler1/euler2 (argument transformations), "
+            "2 (unit argument), 3 (terminating)"
+        )}),
+        "sweep_small": (None, _SWITCH),
+        "seed": (1, {"type": int}),
+        "count": (20, {"type": int}),
+        "x": (None, {"type": _rational}),
+        "case": (None, {}),
+        "tol": (1e-10, {"type": float}),
+        "budget": (40_000, {"type": int}),
+        **_PRECISION,
+        "strict": (False, _SWITCH),
+    },
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -459,142 +527,41 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_poly = sub.add_parser("poly", help="build a parametric weight polynomial")
-    p_poly.add_argument("--kind", choices=list(_POLYNOMIALS), default="q")
-    p_poly.add_argument("--a", type=_rational)
-    p_poly.add_argument("--b", type=_rational)
-    p_poly.add_argument("--c", type=_rational)
-    p_poly.add_argument("--pairs", type=_pairs, default=[])
-    p_poly.add_argument("--m", type=int)
-    p_poly.add_argument("--k", type=int)
-    p_poly.add_argument("--tol", type=float, default=1e-13)
-
-    p_tr = sub.add_parser("transform", help="apply a transformation theorem")
-    p_tr.add_argument(
-        "--theorem", choices=[kind.replace("_", "-") for kind in _THEOREMS], default="thomae"
-    )
-    p_tr.add_argument("--a", type=_rational)
-    p_tr.add_argument("--b", type=_rational)
-    p_tr.add_argument("--c", type=_rational)
-    p_tr.add_argument("--d", type=_rational)
-    p_tr.add_argument("--e", type=_rational)
-    p_tr.add_argument("--n", type=int)
-    p_tr.add_argument("--x", type=_rational)
-    p_tr.add_argument("--pairs", type=_pairs, default=[])
-    p_tr.add_argument("--contract", action="store_true")
-    p_tr.add_argument("--precision", type=int, default=50)
-    p_tr.add_argument("--tol", type=float, default=1e-13)
-
-    p_ev = sub.add_parser("eval", help="evaluate a series")
-    p_ev.add_argument("--numerators", type=str, default="")
-    p_ev.add_argument("--denominators", type=str, default="")
-    p_ev.add_argument("--weight", type=str, default="")
-    p_ev.add_argument("--x", type=_rational)
-    p_ev.add_argument("--precision", type=int, default=50)
-    p_ev.add_argument("--tol", type=float, default=1e-12)
-    p_ev.add_argument("--max-terms", type=int, default=400_000)
-    p_ev.add_argument("--acceleration", choices=["levin"], default=None)
-
-    p_vf = sub.add_parser("verify", help="verify identities")
-    p_vf.add_argument(
-        "--theorem",
-        type=str,
-        default="2",
-        help=(
-            "identity family: 1 or euler1/euler2 (argument transformations), "
-            "2 (unit argument), 3 (terminating)"
-        ),
-    )
-    p_vf.add_argument("--sweep-small", action="store_true")
-    p_vf.add_argument("--seed", type=int, default=1)
-    p_vf.add_argument("--count", type=int, default=20)
-    p_vf.add_argument("--x", type=_rational)
-    p_vf.add_argument("--case", type=str)
-    p_vf.add_argument("--tol", type=float, default=1e-10)
-    p_vf.add_argument("--budget", type=int, default=40_000)
-    p_vf.add_argument("--precision", type=int, default=50)
-    p_vf.add_argument("--strict", action="store_true")
-    for command_parser in (p_poly, p_tr, p_ev, p_vf):
+    for command, (_, _, help_text) in _RUNNERS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for key, (default, keywords) in _FLAGS[command].items():
+            command_parser.add_argument("--" + key.replace("_", "-"), default=default, **keywords)
         command_parser.add_argument("--json", action="store_true")
         command_parser.add_argument("--config", type=str)
     return parser
 
 
-def _csl(text: str) -> list[str]:
-    """Comma-separated rationals as normalized 'p/q' strings."""
-    return [str(Fraction(chunk)) for chunk in text.split(",") if chunk]
-
-
-def _parameter_flags(args: argparse.Namespace, table: dict) -> dict:
-    """The given flags among the builder parameters of ``table``, as config entries."""
-    config = {}
-    for key in dict.fromkeys(key for _, keys in table.values() for key in keys):
-        value = getattr(args, key)
-        if key != "pairs" and value is not None:
-            config[key] = value if key in _INTEGER_KEYS else str(value)
-    return config
-
-
 def _config_from_args(args: argparse.Namespace) -> dict:
     """Normalize parsed flags into the canonical inputs dict."""
     if args.config:
-        try:
-            return _json_object(json.loads(args.config), "--config")
-        except json.JSONDecodeError as exc:
-            raise PreconditionError("invalid_input", f"bad --config JSON: {exc}") from exc
-    command = args.command
-    if command == "poly":
-        config = {"kind": args.kind, "pairs": args.pairs, "tol": args.tol}
-        return config | _parameter_flags(args, _POLYNOMIALS)
-    if command == "transform":
-        config = {
-            "kind": args.theorem.replace("-", "_"),
-            "pairs": args.pairs,
-            "contract": bool(args.contract),
-            "precision": args.precision,
-            "tol": args.tol,
-        }
-        return config | _parameter_flags(args, _THEOREMS)
-    if command == "eval":
-        if args.x is None:
+        return _json_object(_json_flag(args.config, "--config"), "--config")
+    values = vars(args)
+    config = {key: values[key] for key in _FLAGS[args.command] if values[key] is not None}
+    if args.command == "transform":
+        config["kind"] = config.pop("theorem").replace("-", "_")
+    elif args.command == "eval":
+        if "x" not in config:
             raise PreconditionError("invalid_input", "eval requires --x")
-        config = {
-            "numerators": _csl(args.numerators),
-            "denominators": _csl(args.denominators),
-            "x": str(args.x),
-            "precision": args.precision,
-            "tol": args.tol,
-            "max_terms": args.max_terms,
-        }
-        if args.weight:
-            config["weight"] = _csl(args.weight)
-        if args.acceleration:
-            config["acceleration"] = args.acceleration
-        return config
-    if command == "verify":
-        config = {
-            "tol": args.tol,
-            "budget": args.budget,
-            "precision": args.precision,
-            "strict": bool(args.strict),
-        }
-        if args.sweep_small:
-            config["sweep_small"] = True
-            return config
-        if args.case:
-            try:
-                config["case"] = json.loads(args.case)
-            except json.JSONDecodeError as exc:
-                raise PreconditionError("invalid_input", f"bad --case JSON: {exc}") from exc
-            return config
-        config["theorem"] = args.theorem
-        config["seed"] = args.seed
-        config["count"] = args.count
-        if args.x is not None:
-            config["x"] = str(args.x)
-        return config
-    raise PreconditionError("invalid_input", f"unknown command {command!r}")
+        if config.get("weight") == []:
+            del config["weight"]
+    elif args.command == "verify":
+        # one mode: --sweep-small, else --case, else the seeded suite's flags
+        suite = ["theorem", "seed", "count", "x"]
+        if config.get("sweep_small"):
+            dropped = ["case", *suite]
+        elif config.get("case"):
+            dropped = ["sweep_small", *suite]
+            config["case"] = _json_flag(config["case"], "--case")
+        else:
+            dropped = ["sweep_small", "case"]
+        for key in dropped:
+            config.pop(key, None)
+    return config
 
 
 def _require(config: dict, names) -> None:
@@ -606,21 +573,20 @@ def _require(config: dict, names) -> None:
 
 
 _RUNNERS = {
-    "poly": (run_poly, _render_poly),
-    "transform": (run_transform, _render_transform),
-    "eval": (run_eval, _render_eval),
-    "verify": (run_verify, _render_verify),
+    "poly": (run_poly, _render_poly, "build a parametric weight polynomial"),
+    "transform": (run_transform, _render_transform, "apply a transformation theorem"),
+    "eval": (run_eval, _render_eval, "evaluate a series"),
+    "verify": (run_verify, _render_verify, "verify identities"),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        runner, renderer = _RUNNERS[args.command]
+        runner, renderer, _ = _RUNNERS[args.command]
         outputs = runner(config)
-    except (PreconditionError, ThomaeError, ValueError, KeyError, ZeroDivisionError) as exc:
+    except ThomaeError as exc:
         condition = getattr(exc, "condition", exc.__class__.__name__)
         print(f"error[{condition}]: {exc}", file=sys.stderr)
         return 2
@@ -635,9 +601,9 @@ def main(argv=None) -> int:
     else:
         for line in renderer(outputs):
             print(line)
-    if args.command == "verify":
-        return _verify_exit_code(outputs, bool(config.get("strict", False)))
-    return 0
+    summary = outputs.get("summary", {})  # only verify reports carry a summary
+    failed = summary.get("failed") or config.get("strict") and summary.get("inconclusive")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -45,37 +45,6 @@ class RationalPolynomial:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, cb in enumerate(b):
-            out[i] += cb
-        return RationalPolynomial(out)
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial([-c for c in self.coefficients])
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "RationalPolynomial":
-        if isinstance(other, RationalPolynomial):
-            if self.is_zero() or other.is_zero():
-                return RationalPolynomial()
-            out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-            for i, ca in enumerate(self.coefficients):
-                if ca == 0:
-                    continue
-                for j, cb in enumerate(other.coefficients):
-                    out[i + j] += ca * cb
-            return RationalPolynomial(out)
-        scalar = as_rational(other)
-        return RationalPolynomial([c * scalar for c in self.coefficients])
-
-    __rmul__ = __mul__
-
     @cached_property
     def _integer_form(self) -> tuple[int, tuple[int, ...]]:
         """(D, integer coefficients in descending order) with self = poly / D."""
@@ -149,8 +118,11 @@ def rising_factorial_poly(offset: RationalLike, count: int) -> RationalPolynomia
 
 def _rising_sum(coefficients: Sequence[Fraction], offset: RationalLike = 0) -> RationalPolynomial:
     """sum_j coefficients[j] (t+offset)_j in the monomial basis."""
-    terms = (h * rising_factorial_poly(offset, j) for j, h in enumerate(coefficients))
-    return sum(terms, RationalPolynomial())
+    out = [Fraction(0)] * len(coefficients)
+    for j, h in enumerate(coefficients):
+        for i, c in enumerate(rising_factorial_poly(offset, j).coefficients):
+            out[i] += h * c
+    return RationalPolynomial(out)
 
 
 def _weight_polynomial(

@@ -415,11 +415,14 @@ def eval_numeric(
     its (larger) bound; callers decide whether that is conclusive.
 
     ``acceleration="levin"`` switches the unit-argument path to Levin
-    sequence acceleration (off by default; used for cross-checks).
+    sequence acceleration (off by default; used for cross-checks).  Any
+    other acceleration, or a tol that is not positive, is invalid_input.
     """
     tol = float(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # also rejects nan
+        raise PreconditionError("invalid_input", f"tol must be positive, got {tol!r}")
+    if acceleration not in (None, "levin"):
+        raise PreconditionError("invalid_input", f"unknown acceleration {acceleration!r}")
     n = spec.termination_index()
     if n is not None:
         exact = eval_terminating(spec)
@@ -439,8 +442,6 @@ def eval_numeric(
             )
         if acceleration == "levin":
             return _levin_unit_argument(spec, precision, min(max_terms, 400))
-        if acceleration is not None:
-            raise ValueError(f"unknown acceleration {acceleration!r}")
         return _sum_unit_argument(spec, precision, tol, max_terms)
     raise PreconditionError(
         "argument_out_of_range",

@@ -306,7 +306,8 @@ def contract_pairs(target: WeightedSeriesSpec) -> WeightedSeriesSpec:
         for side, i, z, replacement in moves:
             if z == 0 or weight.evaluate(z) != 0:
                 continue
-            candidate_weight = -z * weight.divide_by_root(z)
+            deflated = weight.divide_by_root(z).coefficients
+            candidate_weight = RationalPolynomial(-z * c for c in deflated)
             kept, side[i] = side[i], replacement
             try:
                 WeightedSeriesSpec(nums, dens, candidate_weight, target.argument)

@@ -203,6 +203,7 @@ class TestVerifyCommand:
             ("verify", "--case", '{"kind": "thomae", "a": "1/4"}'),
             ("poly", "--config", '{"kind": "q", "b": "2", "c": "7", "pairs": [[3]]}'),
             ("eval", "--config", '{"numerators": 5, "x": "1/2"}'),
+            ("eval", "--config", '{"numerators": ["1/3"], "x": "1/2", "tol": 1%s}' % ("0" * 400)),
         ],
     )
     def test_malformed_json_input_is_invalid_input(self, argv, capsys):
@@ -265,6 +266,97 @@ class TestVerifyCommand:
     def test_zero_count_is_an_empty_suite(self, capsys):
         assert cli.main(["verify", "--theorem", "2", "--count", "0"]) == 0
         assert capsys.readouterr().out == "summary: 0/0 passed, 0 failed, 0 inconclusive\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--numerators", "1/x"), ("--denominators", "2,q"), ("--weight", "1/0")]
+)
+def test_malformed_list_flag_is_usage_error(flag, value, capsys):
+    argv = ["eval", "--numerators", "1/3", "--x", "1/2", flag, value]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"thomae eval: error: argument {flag}: not a rational 'p/q' or integer: "
+        f"'{value.split(',')[-1]}'\n"
+    )
+
+
+def test_fault_below_main_is_not_reported_as_invalid_input(monkeypatch):
+    def broken_builder(**kwargs):
+        raise ValueError("a fault in the program")
+
+    monkeypatch.setattr(cli.polynomials, "build_Q", broken_builder)
+    with pytest.raises(ValueError, match="a fault in the program"):
+        cli.main(["poly", "--kind", "q", "--b", "2", "--c", "7", "--pairs", "3:1"])
+
+
+def _inputs(*argv: str) -> dict:
+    return cli._config_from_args(cli._build_parser().parse_args(argv))
+
+
+_VERIFY_DEFAULTS = {"tol": 1e-10, "budget": 40_000, "precision": 50, "strict": False}
+_CASE = '{"kind": "thomae"}'
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize(
+        "argv, inputs",
+        [
+            (("poly", "--b", "4/2"), {"kind": "q", "b": "2", "pairs": [], "tol": 1e-13}),
+            (("poly", "--kind", "g", "--m", "3", "--k", "1", "--pairs", "1/2:2"),
+             {"kind": "g", "m": 3, "k": 1, "pairs": [["1/2", 2]], "tol": 1e-13}),
+            (("transform", "--theorem", "thomae-terminating", "--n", "3"),
+             {"kind": "thomae_terminating", "n": 3, "pairs": [], "contract": False,
+              "precision": 50, "tol": 1e-13}),
+            (("transform", "--x", "1/4", "--contract"),
+             {"kind": "thomae", "x": "1/4", "pairs": [], "contract": True, "precision": 50,
+              "tol": 1e-13}),
+            (("eval", "--x", "2/4"),
+             {"numerators": [], "denominators": [], "x": "1/2", "precision": 50, "tol": 1e-12,
+              "max_terms": 400_000}),
+            (("eval", "--numerators", "1/3,,2/6", "--weight", "", "--x", "1",
+              "--acceleration", "levin"),
+             {"numerators": ["1/3", "1/3"], "denominators": [], "x": "1", "precision": 50,
+              "tol": 1e-12, "max_terms": 400_000, "acceleration": "levin"}),
+            (("eval", "--weight", "1,-1/2", "--x", "1/2"),
+             {"numerators": [], "denominators": [], "weight": ["1", "-1/2"], "x": "1/2",
+              "precision": 50, "tol": 1e-12, "max_terms": 400_000}),
+            (("verify",), {"theorem": "2", "seed": 1, "count": 20, **_VERIFY_DEFAULTS}),
+            (("verify", "--x", "1/2", "--strict"),
+             {"theorem": "2", "seed": 1, "count": 20, "x": "1/2", **_VERIFY_DEFAULTS,
+              "strict": True}),
+            (("verify", "--sweep-small", "--case", _CASE, "--theorem", "1", "--x", "1/2"),
+             {"sweep_small": True, **_VERIFY_DEFAULTS}),
+            (("verify", "--case", _CASE, "--theorem", "1", "--seed", "4", "--x", "1/2"),
+             {"case": {"kind": "thomae"}, **_VERIFY_DEFAULTS}),
+            (("verify", "--case", "", "--count", "3"),
+             {"theorem": "2", "seed": 1, "count": 3, **_VERIFY_DEFAULTS}),
+        ],
+    )
+    def test_flags_to_inputs(self, argv, inputs):
+        assert _inputs(*argv) == inputs
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (("poly", "--b", "2", "--c", "7", "--pairs", "3:1"),
+             {"kind": "q", "b": "2", "c": "7", "pairs": [["3", 1]]}),
+            (("transform", "--theorem", "euler2", "--a", "1/3", "--b", "1/5", "--c", "7/4",
+              "--x", "1/4"),
+             {"kind": "euler2", "a": "1/3", "b": "1/5", "c": "7/4", "x": "1/4"}),
+            (("eval", "--numerators", "1/3,1/4", "--denominators", "3", "--x", "1/2"),
+             {"numerators": ["1/3", "1/4"], "denominators": ["3"], "x": "1/2"}),
+            (("verify", "--count", "2"), {"count": 2}),
+        ],
+    )
+    def test_flag_defaults_are_the_runner_defaults(self, flags, config, capsys):
+        cli.main([*flags, "--json"])
+        from_flags = json.loads(capsys.readouterr().out)["outputs"]
+        cli.main([flags[0], "--config", json.dumps(config), "--json"])
+        assert json.loads(capsys.readouterr().out)["outputs"] == from_flags
 
 
 def test_import_leaves_scipy_unloaded():

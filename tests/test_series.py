@@ -167,6 +167,15 @@ class TestEvalNumeric:
             eval_numeric(SeriesSpec([F(1, 2)], [F(3, 2)], 2))
         assert err.value.condition == "argument_out_of_range"
 
+    @pytest.mark.parametrize(
+        "request_", [dict(tol=0), dict(tol=-1e-12), dict(tol=math.nan), dict(acceleration="aitken")]
+    )
+    def test_bad_request_is_invalid_input(self, request_):
+        spec = SeriesSpec([F(1, 3), F(1, 4)], [3], F(1, 2))
+        with pytest.raises(PreconditionError) as err:
+            eval_numeric(spec, **request_)
+        assert err.value.condition == "invalid_input"
+
     def test_levin_acceleration_cross_check(self):
         spec = SeriesSpec([F(1, 3), F(1, 4)], [3], 1)
         direct = eval_numeric(spec, precision=40, tol=1e-13)
