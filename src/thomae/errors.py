@@ -21,10 +21,11 @@ class PreconditionError(ThomaeError, ValueError):
 
 
 class NonConvergenceError(ThomaeError, RuntimeError):
-    """An iterative numerical procedure exhausted its budget.
+    """A numerical procedure missed its tolerance or exhausted its budget.
 
     ``best`` carries the best available estimate and ``history`` the
-    successive iterates, so a caller can still inspect partial results.
+    successive iterates (or, for zeros, their residuals), so a caller can
+    still inspect partial results.
     """
 
     def __init__(self, message: str, best=None, history=None) -> None:

@@ -3,18 +3,19 @@ weight polynomials of the transformation theorems.
 
 The two weight families built here are degree-m polynomials normalized to
 value 1 at the origin; their nonvanishing zeros become the shifted
-parameter pairs of a transformed series.  A simultaneous-iteration
-(Aberth-Ehrlich) root finder recovers those zeros numerically.
+parameter pairs of a transformed series.  ``find_zeros`` recovers those
+zeros numerically as companion-matrix eigenvalues (``numpy.roots``).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import NonConvergenceError, PreconditionError
 from .exact import (
@@ -232,80 +233,56 @@ class ZeroSet:
 
     Zeros are sorted by (real, imaginary) for deterministic output;
     residuals are |p(z)| / sum_i |c_i| |z|^i, i.e. relative to the
-    coefficient magnitude at the point.
+    coefficient magnitude at the point.  ``converged`` says whether every
+    residual is within the requested tolerance.
     """
 
     zeros: tuple[complex, ...]
     residuals: tuple[float, ...]
     converged: bool
-    iterations: int
 
 
-def find_zeros(
-    p: RationalPolynomial, tol: float = 1e-13, max_iterations: int = 200
-) -> ZeroSet:
-    """All complex zeros of ``p`` by Aberth-Ehrlich simultaneous iteration.
+def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
+    """All complex zeros of ``p`` as eigenvalues of its companion matrix.
 
-    Requires degree >= 1 and p(0) != 0.  Initial guesses sit on a circle of
-    radius 1 + max|c_i / c_deg| with a fixed angular jitter.  On failure to
-    converge within ``max_iterations`` a NonConvergenceError carrying the
-    best iterate is raised; an iterate so large that its residual
-    overflows counts as not converged (residual inf).
+    Requires degree >= 1 and p(0) != 0, with the leading and constant
+    coefficients inside the float range.  The zeros come from
+    ``numpy.roots`` on the float coefficients, which is backward stable in
+    them (Edelman and Murakami, Math. Comp. 1995).  If any relative
+    residual exceeds ``tol`` a NonConvergenceError carrying the zeros is
+    raised; a zero so large that its residual overflows counts as a miss
+    (residual inf).
     """
     if p.is_zero() or p.degree < 1:
         raise PreconditionError("degenerate_polynomial", "need degree >= 1")
     if p.coefficients[0] == 0:
         raise PreconditionError("degenerate_polynomial", "polynomial vanishes at 0")
-    coeffs = [float(c) for c in p.coefficients]
-    deg = p.degree
-    lead = coeffs[-1]
-    radius = 1.0 + max(abs(c / lead) for c in coeffs[:-1])
-    jitter = 0.41  # fixed angular offset so guesses avoid the real axis
-    zs = [
-        radius * cmath.exp(2j * cmath.pi * (i + jitter) / deg + 0.1j)
-        for i in range(deg)
-    ]
-
-    def horner_with_derivative(z: complex) -> tuple[complex, complex]:
-        val = 0j
-        der = 0j
-        for c in reversed(coeffs):
-            der = der * z + val
-            val = val * z + c
-        return val, der
+    try:
+        coeffs = [float(c) for c in p.coefficients]
+    except OverflowError as exc:
+        raise PreconditionError("degenerate_polynomial", "a coefficient overflows a float") from exc
+    if coeffs[0] == 0 or coeffs[-1] == 0:
+        raise PreconditionError(
+            "degenerate_polynomial", "the leading or constant coefficient underflows to 0.0"
+        )
 
     def relative_residual(z: complex) -> float:
-        val, _ = horner_with_derivative(z)
+        val = 0j
+        for c in reversed(coeffs):
+            val = val * z + c
         try:
             scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs))
             return abs(val) / scale if scale else abs(val)
-        except OverflowError:  # an iterate too far out to judge: not converged
+        except OverflowError:  # a zero too far out to judge: a miss
             return math.inf
 
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        offsets = []
-        for i, z in enumerate(zs):
-            val, der = horner_with_derivative(z)
-            if val == 0:
-                offsets.append(0j)
-                continue
-            newton = val / der if der != 0 else 0.1 + 0.1j
-            repulsion = sum(1.0 / (z - w) for j, w in enumerate(zs) if j != i)
-            denom = 1.0 - newton * repulsion
-            offsets.append(newton / denom if denom != 0 else newton)
-        zs = [z - dz for z, dz in zip(zs, offsets)]
-        if all(relative_residual(z) <= tol for z in zs):
-            converged = True
-            break
-
-    zs.sort(key=lambda z: (z.real, z.imag))
+    zs = sorted((complex(z) for z in np.roots(coeffs[::-1])), key=lambda z: (z.real, z.imag))
     residuals = tuple(relative_residual(z) for z in zs)
-    result = ZeroSet(tuple(zs), residuals, converged, iterations)
+    converged = all(r <= tol for r in residuals)
+    result = ZeroSet(tuple(zs), residuals, converged)
     if not converged:
         raise NonConvergenceError(
-            f"root finder did not reach tolerance {tol} in {iterations} iterations",
+            f"zeros miss tolerance {tol}: worst residual {max(residuals):.3e}",
             best=result,
             history=residuals,
         )

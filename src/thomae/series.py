@@ -410,7 +410,8 @@ def eval_numeric(
     ``precision`` is the working precision in decimal digits; ``tol`` the
     requested bound relative to max(1, |value|).  Terminating series are
     summed exactly and reported with the exact value attached.  Arguments
-    must satisfy |x| < 1, or x = 1 with positive excess.  If the bound
+    must satisfy |x| < 1 (with at most one numerator beyond the
+    denominators unless x = 0), or x = 1 with positive excess.  If the bound
     cannot be met within ``max_terms`` the best estimate is returned with
     its (larger) bound; callers decide whether that is conclusive.
 
@@ -432,6 +433,12 @@ def eval_numeric(
             return EvalResult(+value, +bound, n + 1, True, exact)
     x = spec.argument
     if abs(x) < 1:
+        if x != 0 and len(spec.kernel_numerators) > len(spec.kernel_denominators) + 1:
+            raise PreconditionError(
+                "divergent",
+                "a nonterminating series with more than one numerator beyond its "
+                "denominators diverges for every x != 0",
+            )
         return _sum_inside_disk(spec, precision, tol, max_terms)
     if x == 1:
         if len(spec.kernel_numerators) != len(spec.kernel_denominators) + 1:

@@ -67,11 +67,22 @@ class TestPolyCommand:
         result = run_cli("poly", "--kind", "q", "--b", "2x", "--c", "7")
         assert result.returncode == 2
 
-    def test_zero_finder_overflow_is_named_error(self):
-        # at total shift 16 the float64 residual of an Aberth iterate
-        # overflows; that must end as a non-convergence, not a traceback
+    def test_high_degree_zeros(self):
         result = run_cli(
-            "poly", "--kind", "q", "--b", "5/2", "--c", "3/2", "--pairs", "1/3:8,2/7:8"
+            "poly", "--kind", "qhat", "--a", "1/4", "--b", "5/2", "--c", "3/2",
+            "--pairs", "1/3:8,2/7:8", "--json",
+        )
+        assert result.returncode == 0
+        zeros = json.loads(result.stdout)["outputs"]["zeros"]
+        assert len(zeros) == 16
+        assert all(float(z["residual"]) <= 1e-13 for z in zeros)
+
+    def test_zero_finder_miss_is_named_error(self):
+        # a tolerance below float rounding is missed: a named error, not a
+        # traceback
+        result = run_cli(
+            "poly", "--kind", "q", "--b", "5/2", "--c", "3/2", "--pairs", "1/3:8,2/7:8",
+            "--tol", "1e-30",
         )
         assert result.returncode == 2
         assert result.stderr.startswith("error[NonConvergenceError]")
@@ -160,6 +171,12 @@ class TestEvalCommand:
         assert result.returncode == 0
         outputs = json.loads(result.stdout)["outputs"]
         assert outputs["series"]["weight_coefficients"] == ["1", "-20/9", "4/9"]
+
+    def test_divergent_inside_disk_is_named_error(self):
+        # a 2F0: rejected before summing, not after 400 000 terms
+        result = run_cli("eval", "--numerators", "1/3,1/4", "--x", "1/2")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error[divergent]")
 
 
 class TestVerifyCommand:

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -227,7 +228,9 @@ class TestFindZeros:
             if p.degree < 1 or p.coefficients[0] == 0:
                 continue
             ours = find_zeros(p).zeros
-            reference = list(np.roots([float(c) for c in reversed(p.coefficients)]))
+            with mpmath.workdps(60):
+                coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in p.coefficients]
+                reference = [complex(z) for z in mpmath.polyroots(coeffs[::-1], maxsteps=200)]
             # nearest matching: sort order can flip within conjugate pairs
             for z_ours in ours:
                 nearest = min(abs(z_ours - z_ref) for z_ref in reference)
@@ -259,14 +262,25 @@ class TestFindZeros:
             scale = np.abs(original).max()
             assert np.abs(rebuilt.real - original).max() <= 1e-9 * scale
 
-    def test_overflowing_iterate_raises_nonconvergence(self):
-        # total shift 16: some iterates grow until |z|^i overflows a float
-        q = build_Q(ParamPairs([(F(1, 3), 8), (F(2, 7), 8)]), B, C)
+    @pytest.mark.parametrize("m", [16, 24, 32])
+    @pytest.mark.parametrize("kind", ["q", "qhat"])
+    def test_high_degree_weights(self, kind, m):
+        pp = ParamPairs([(F(1, 3), m // 2), (F(2, 7), m // 2)])
+        q = build_Q(pp, B, C) if kind == "q" else build_Qhat(pp, A, B, C)
+        zs = find_zeros(q)
+        assert q.degree == m
+        assert len(zs.zeros) == m
+        assert zs.converged and all(r <= 1e-13 for r in zs.residuals)
+
+    def test_overflowing_residual_raises_nonconvergence(self):
+        # zeros 1 and 10^200: |z|^2 overflows a float, so that residual is inf
+        tiny = F(1, 10**200)
         with pytest.raises(NonConvergenceError) as err:
-            find_zeros(q)
+            find_zeros(RationalPolynomial([1, -(1 + tiny), tiny]))
         best = err.value.best
         assert not best.converged
-        assert len(best.zeros) == len(best.residuals) == 16
+        assert abs(best.zeros[0] - 1) < 1e-12
+        assert best.residuals[0] <= 1e-13 and best.residuals[1] == math.inf
         assert err.value.history == best.residuals
 
     def test_degenerate_inputs_rejected(self):
@@ -274,6 +288,11 @@ class TestFindZeros:
             find_zeros(RationalPolynomial([5]))
         with pytest.raises(PreconditionError):
             find_zeros(RationalPolynomial([0, 1, 1]))  # vanishes at 0
+        # coefficients outside the float range
+        for coeffs in ([1, 0, F(1, 10**400)], [F(1, 10**400), 1], [1, 10**400]):
+            with pytest.raises(PreconditionError) as err:
+                find_zeros(RationalPolynomial(coeffs))
+            assert err.value.condition == "degenerate_polynomial"
 
 
 class TestEvaluation:

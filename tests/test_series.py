@@ -162,6 +162,18 @@ class TestEvalNumeric:
             eval_numeric(spec)
         assert err.value.condition == "divergent"
 
+    def test_divergent_inside_disk_rejected(self):
+        # two numerators beyond the denominators: divergent for every x != 0
+        weight = RationalPolynomial([1, 1])
+        for spec in (SeriesSpec([F(1, 3), F(1, 4)], [], F(1, 2)),
+                     WeightedSeriesSpec([F(1, 3), F(1, 4), 2], [3], weight, F(-1, 5))):
+            with pytest.raises(PreconditionError) as err:
+                eval_numeric(spec)
+            assert err.value.condition == "divergent"
+        # x = 0 and terminating series still evaluate
+        assert eval_numeric(SeriesSpec([F(1, 3), F(1, 4)], [], 0)).value == 1
+        assert eval_numeric(SeriesSpec([-2, F(1, 4)], [], F(1, 2))).exact_value == F(53, 64)
+
     def test_argument_outside_range_rejected(self):
         with pytest.raises(PreconditionError) as err:
             eval_numeric(SeriesSpec([F(1, 2)], [F(3, 2)], 2))
