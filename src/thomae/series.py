@@ -6,16 +6,19 @@ plus a polynomial weight evaluated at the negated summation index
 carried around without computing any polynomial zeros.
 
 Terminating series are summed exactly over the rationals.  Everything
-else is summed in extended-precision floating point: geometric tail
-bounds for arguments inside the unit disk, and an asymptotic tail
+else is summed in extended-precision floating point: a geometric tail
+bound for arguments inside the unit disk, and an asymptotic tail
 completion (fitted inverse powers combined with Hurwitz zeta values) at
 unit argument, where terms only decay like a power of the index.
 
-All numeric paths draw their terms from one recurrence.  At unit
-argument the term list is extended, not rebuilt, when the term budget
-doubles, and each budget's Hurwitz zeta values are computed once and
-shared by the tail fit and its lower-order check.  None of this changes
-a bit of any result.
+All numeric paths draw their terms from one recurrence, which forms each
+term ratio exactly over the integers and applies it with one multiply and
+one divide.  Inside the disk the tail bound uses only the parameters and
+the absolute values of the weight's coefficients, never a bound on the
+weight's zeros, so a weight with a tiny leading coefficient does not
+delay it.  At unit argument the term list is extended, not rebuilt, when
+the term budget doubles, and each budget's Hurwitz zeta values are
+computed once and shared by the tail fit and its lower-order check.
 """
 
 from __future__ import annotations
@@ -220,87 +223,112 @@ def _weight_zero_radius(weight: Optional[RationalPolynomial]) -> float:
     return 2.0 * bound
 
 
-def _term_ratio_bound(spec: AnySeries) -> Callable[[int], float]:
-    """k -> upper bound on |term_{k+1}/term_k|, valid for large k.
+def _kernel_and_weight(spec: AnySeries) -> Iterator[tuple]:
+    """Yield (kernel_k / D, D * weight(-k)) for k = 0, 1, 2, ...
 
-    The parameter magnitude and the weight's zero radius are computed
-    once per series, outside the per-term calls.
+    kernel_k = prod (nums)_k / (prod (dens)_k k!) * x^k, and D is the
+    common denominator of the weight's coefficients (1 without a weight),
+    so the product of the pair is term k and the second entry is an
+    integer, from Horner on the weight's integer form.  Each kernel ratio
+    is formed exactly over the integers: a parameter p/q contributes
+    p + q*k, and the q's and the argument's numerator and denominator are
+    folded into two constants once per series; the ratio then costs one
+    mpf multiply and one mpf divide.  This is the one term recurrence of
+    every numeric path.  Consume it inside the precision context it was
+    started in.
     """
-    x = abs(float(spec.argument))
-    big = _max_param_magnitude(spec)
-    p = len(spec.kernel_numerators)
-    q1 = len(spec.kernel_denominators) + 1
-    deg = spec.weight.degree if spec.weight is not None else 0
-    wr = _weight_zero_radius(spec.weight)
+    x = spec.argument
+    up, down = x.numerator, x.denominator
+    for a in spec.kernel_numerators:
+        down *= a.denominator
+    for b in spec.kernel_denominators:
+        up *= b.denominator
+    nums = [(a.numerator, a.denominator) for a in spec.kernel_numerators]
+    dens = [(b.numerator, b.denominator) for b in spec.kernel_denominators]
+    denominator, coeffs = spec.weight._integer_form if spec.weight is not None else (1, (1,))
+    kernel = mpf(1) / denominator
+    k = 0
+    while True:
+        w = 0
+        for c in coeffs:
+            w = c - w * k  # Horner at -k
+        yield kernel, w
+        num, den = up, down * (k + 1)
+        for p, q in nums:
+            num *= p + q * k
+        for p, q in dens:
+            den *= p + q * k
+        kernel = kernel * num / den
+        k += 1
 
-    def bound(k: int) -> float:
-        if k <= 2 * big + 2:
-            return float("inf")
-        rho = x * ((k + big) / (k - big)) ** p / (k - big) ** max(q1 - p, 0)
-        if deg >= 1:
-            if k <= 2 * wr + 2:
-                return float("inf")
-            rho *= ((k + 1 + wr) / (k - wr)) ** deg
-        return rho
+
+def _disk_tail_bound(spec: AnySeries) -> Callable[[int, object], object]:
+    """(k, kernel_k / D) -> bound on sum_{j >= k} |term_j| for |x| < 1.
+
+    Valid, and finite, once k > max|param| + 1 and rho_k (1 + 1/k)^deg < 1:
+    - rho_k = |x| prod max(1, (a + k)/(b + k)) bounds every kernel ratio
+      from index k on, pairing the numerators with the denominators plus
+      1 (for k!), both sorted in descending order.  Each paired factor
+      (a + j)/(b + j) is monotone in j and tends to 1; a leftover
+      denominator divides by (b + k).  Leftover numerators only reach
+      here with x = 0, where rho_k = 0.
+    - |weight(-j)| <= W(j) = sum_i |c_i| j^i, and W(j+1)/W(j) <= (1 + 1/k)^deg.
+
+    So the tail is at most |kernel_k| W(k) / (1 - rho_k (1 + 1/k)^deg), and
+    needs no bound on the weight's zeros.  W is evaluated on the integer
+    coefficients of D * weight, to match the generator's kernel_k / D.
+    Before the bound is valid it is inf.  |x| is rounded up by 2^-40 so
+    that the float product can only overestimate rho_k.
+    """
+    x = abs(float(spec.argument)) * (1 + 2.0**-40)
+    big = _max_param_magnitude(spec)
+    nums = sorted((float(a) for a in spec.kernel_numerators), reverse=True)
+    dens = sorted([1.0, *(float(b) for b in spec.kernel_denominators)], reverse=True)
+    growing = [(a, b) for a, b in zip(nums, dens) if a > b]
+    leftover = dens[len(nums):]
+    if spec.weight is None:
+        deg, coeffs = 0, (1,)
+    else:
+        deg = spec.weight.degree
+        coeffs = tuple(abs(c) for c in spec.weight._integer_form[1])
+
+    def bound(k: int, kernel):
+        if k <= big + 1:
+            return mp.inf
+        rho = x
+        for a, b in growing:
+            rho *= (a + k) / (b + k)
+        for b in leftover:
+            rho /= b + k
+        if deg:
+            rho *= (1 + 1 / k) ** deg
+        if rho >= 1:
+            return mp.inf
+        weight = 0
+        for c in coeffs:
+            weight = weight * k + c
+        return abs(kernel) * weight / (1 - rho)
 
     return bound
 
 
-def _weight_value(weight: Optional[RationalPolynomial], k: int):
-    """weight(-k) as an mpf (1 when there is no weight)."""
-    if weight is None:
-        return mpf(1)
-    w = weight.evaluate(-k)
-    return mpf(w.numerator) / w.denominator
-
-
-def _kernel_and_weight(spec: AnySeries, x) -> Iterator[tuple]:
-    """Yield (kernel_k, weight(-k)) for k = 0, 1, 2, ... as mpf values.
-
-    kernel_k = prod (nums)_k / (prod (dens)_k k!) * x^k, from the term
-    ratio recurrence; the parameters become mpf values once, up front.
-    This is the one term recurrence of every numeric path.  Consume it
-    inside the precision context it was started in.
-    """
-    nums = [mpf(a.numerator) / a.denominator for a in spec.kernel_numerators]
-    dens = [mpf(b.numerator) / b.denominator for b in spec.kernel_denominators]
-    kernel = mpf(1)
-    k = 0
-    while True:
-        yield kernel, _weight_value(spec.weight, k)
-        ratio = x / (k + 1)
-        for a in nums:
-            ratio *= a + k
-        for b in dens:
-            ratio /= b + k
-        kernel *= ratio
-        k += 1
-
-
 def _sum_inside_disk(spec: AnySeries, precision: int, tol, max_terms: int) -> EvalResult:
     """Direct summation for |x| < 1 with a geometric tail bound."""
-    ratio_bound = _term_ratio_bound(spec)
+    tail = _disk_tail_bound(spec)
     with mp.workdps(precision + 10):
-        x = mpf(spec.argument.numerator) / spec.argument.denominator
         tol = mpf(tol)
         partial = mpf(0)
-        terms = _kernel_and_weight(spec, x)
+        terms = _kernel_and_weight(spec)
         kernel, weight_k = next(terms)
         k = 0
         while k < max_terms:
             partial += kernel * weight_k
             kernel, weight_k = next(terms)
             k += 1
-            rho = ratio_bound(k)
-            if rho < 0.999:
-                next_term = abs(kernel) * abs(weight_k)
-                bound = next_term / (1 - mpf(rho))
-                target = tol * max(mpf(1), abs(partial))
-                if bound <= target:
-                    return EvalResult(+partial, +bound, k, False)
-        rho = ratio_bound(k)
-        bound = abs(kernel) * abs(weight_k) / (1 - mpf(rho)) if rho < 1 else mp.inf
-        return EvalResult(+partial, +bound, k, False)
+            bound = tail(k, kernel)
+            if bound <= tol * max(1, abs(partial)):
+                return EvalResult(+partial, +bound, k, False)
+        return EvalResult(+partial, +tail(k, kernel), k, False)
 
 
 def _fit_tail(terms, upto: int, s, zetas) -> mpf:
@@ -353,7 +381,7 @@ def _sum_unit_argument(
         tol = mpf(tol)
         budget = min(max_terms, start)
         best: Optional[EvalResult] = None
-        source = (kernel * w for kernel, w in _kernel_and_weight(spec, mpf(1)))
+        source = (kernel * w for kernel, w in _kernel_and_weight(spec))
         terms = []
         while True:
             terms.extend(islice(source, budget + 1 - len(terms)))
@@ -387,7 +415,7 @@ def _levin_unit_argument(spec: AnySeries, precision: int, count: int) -> EvalRes
     with mp.workdps(2 * precision + 20):
         partials = []
         acc = mpf(0)
-        for kernel, w in islice(_kernel_and_weight(spec, mpf(1)), count):
+        for kernel, w in islice(_kernel_and_weight(spec), count):
             acc += kernel * w
             partials.append(+acc)
         transform = mp.levin(method="levin", variant="u")

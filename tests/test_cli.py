@@ -202,6 +202,18 @@ class TestVerifyCommand:
         assert result.returncode == 0
         assert "pass" in result.stdout
 
+    def test_large_weight_radius_case_passes(self):
+        # the target at x = 1/3 has a weight of Fujiwara zero radius about
+        # 8300; its tail bound must not wait for that radius
+        case = {
+            "kind": "euler1", "a": "3/2", "b": "17/4", "c": "-8/3", "x": "-1/2",
+            "pairs": [["19/6", 2], ["4", 1]],
+        }
+        result = run_cli("verify", "--case", json.dumps(case))
+        assert result.returncode == 0
+        assert ": pass " in result.stdout
+        assert "1/1 passed" in result.stdout
+
     def test_failing_exit_code_on_bad_input(self):
         result = run_cli("verify", "--case", "{not json")
         assert result.returncode == 2

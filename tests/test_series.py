@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
@@ -14,19 +15,25 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from thomae.errors import PreconditionError
-from thomae.exact import ParamPairs, pochhammer
+from thomae.exact import ParamPairs, hypergeometric_terms, pochhammer
 from thomae.polynomials import RationalPolynomial, build_Q
 from thomae.series import (
     EvalResult,
     SeriesSpec,
     WeightedSeriesSpec,
+    _kernel_and_weight,
+    _weight_zero_radius,
     eval_numeric,
     eval_terminating,
     gamma_ratio,
     parametric_excess,
 )
+from thomae.transforms import euler1
 
 F = Fraction
+
+# euler1 with a weight of Fujiwara zero radius about 8300 on its target
+_FOUND = euler1(F(3, 2), F(17, 4), F(-8, 3), ParamPairs([(F(19, 6), 2), (F(4), 1)]), F(-1, 2))
 
 
 class TestSpecValidation:
@@ -174,6 +181,18 @@ class TestEvalNumeric:
         assert eval_numeric(SeriesSpec([F(1, 3), F(1, 4)], [], 0)).value == 1
         assert eval_numeric(SeriesSpec([-2, F(1, 4)], [], F(1, 2))).exact_value == F(53, 64)
 
+    def test_large_weight_radius_inside_disk(self):
+        # euler1's target at x = 1/3: its weight's Fujiwara zero radius is
+        # about 8300 (the true zero moduli are 8.4, 47.7 and 4089), which once
+        # kept the tail bound infinite for 40 000 terms
+        target = _FOUND.target
+        assert _weight_zero_radius(target.weight) > 8000
+        res = eval_numeric(target)
+        assert mp.isfinite(res.abs_error_bound)
+        assert res.terms_used < 300
+        with mp.workdps(100):
+            assert abs(res.value - _weighted_reference(target)) <= res.abs_error_bound
+
     def test_argument_outside_range_rejected(self):
         with pytest.raises(PreconditionError) as err:
             eval_numeric(SeriesSpec([F(1, 2)], [F(3, 2)], 2))
@@ -195,6 +214,42 @@ class TestEvalNumeric:
         with mp.workdps(40):
             gap = abs(direct.value - accelerated.value)
             assert gap <= direct.abs_error_bound + accelerated.abs_error_bound
+
+
+class TestTermGenerator:
+    """The one numeric term recurrence against exact rational terms."""
+
+    # w(t) = (t + 3)(t - 2/7), so w(-3) = 0
+    ZERO_AT_3 = RationalPolynomial([F(-6, 7), F(19, 7), 1])
+
+    @pytest.mark.parametrize(
+        "nums, dens, weight, x",
+        [
+            ([F(1, 3), F(-5, 7), F(9, 4)], [F(2, 7), F(11, 6)], None, F(-3, 5)),
+            ([F(3, 2), F(-119, 12)], [F(-8, 3)], None, F(1, 3)),
+            ([F(1, 4), F(7, 3)], [F(3, 2)], ZERO_AT_3, F(-9, 10)),
+            ([F(2, 5), F(6, 7)], [F(13, 7)], ZERO_AT_3, F(1)),
+            ([F(3, 2), F(-119, 12)], [F(-8, 3)], _FOUND.target.weight, F(1, 3)),
+        ],
+    )
+    def test_matches_exact_terms(self, nums, dens, weight, x):
+        # the disk path sums at precision + 10 digits; 300 terms there must
+        # keep every term to the requested precision
+        precision, count = 30, 300
+        exact = hypergeometric_terms(nums, dens, x, count)
+        if weight is None:
+            spec = SeriesSpec(nums, dens, x)
+        else:
+            spec = WeightedSeriesSpec(nums, dens, weight, x)
+            exact = [term * weight.evaluate(-k) for k, term in enumerate(exact)]
+        with mp.workdps(precision + 10):
+            got = [kernel * w for kernel, w in islice(_kernel_and_weight(spec), count)]
+        if weight is self.ZERO_AT_3:
+            assert exact[3] == 0 and got[3] == 0
+        with mp.workdps(precision + 20):
+            for k, (value, term) in enumerate(zip(got, exact)):
+                term = mpf(term.numerator) / term.denominator
+                assert abs(value - term) <= abs(term) * mpf(10) ** -precision, k
 
 
 @settings(max_examples=50, deadline=None)
@@ -276,32 +331,33 @@ class TestParametricExcess:
 
 
 # Exact results of the numeric paths, as (mpf._mpf_ of the value, mpf._mpf_
-# of the bound, terms_used), recorded with mpmath 1.3.0.  They were recorded
-# before the term list was extended across budget doublings and the zeta
-# values were shared between the two tail fits; those changes must not move
-# a single bit.
+# of the bound, terms_used), recorded with mpmath 1.3.0.  A change that moves
+# any of these bits is a declared output change: re-record the entry and
+# state the old and new tuples, with each new value inside the old bound.
+# They were last re-recorded when the term ratio became an exact integer
+# ratio and the disk tail bound stopped using the weight's zero radius.
 _PIN_WEIGHT = build_Q(ParamPairs([(F(1, 2), 2)]), F(5, 2), F(3, 2))
 PINNED = {
     "unit_plain": (
         SeriesSpec([F(1, 2), F(3, 4), F(1, 3)], [F(5, 4), F(7, 4)], 1),
         dict(precision=50, tol=1e-45),
-        (0, 3960820918201046311092111161666066422689045902547240591639770833474741214583, -251, 252),
-        (0, 5322942165518862708348443073708433979620706248242251609558108013460524013579, -402, 252),
+        (0, 3960820918201046311092111161666066422689045902547240591639770833474741214743, -251, 252),
+        (0, 5322942165518862708348443075548627522777108350232586555573577723006976169995, -402, 252),
         16385,  # seven budget doublings, from 128 terms
     ),
     "unit_weighted": (
         WeightedSeriesSpec([F(1, 4), F(7, 3)], [F(15, 2)], _PIN_WEIGHT, 1),
         dict(precision=50, tol=1e-30),
         (0, 2992869098176880457332159422090356181600182274774639223245082165569294080309, -250, 251),
-        (0, 6007002788645036251598500547004899266387119319863445649920894008964416088631, -353, 252),
+        (0, 6007002788645036251598500547004899266387119311678914941319459800895107705399, -353, 252),
         2497,
     ),
     "disk_weighted": (
         WeightedSeriesSpec([F(1, 4), F(7, 3)], [F(3, 2)], _PIN_WEIGHT, F(-1, 2)),
         dict(precision=40, tol=1e-30),
-        (0, 57679882947422171081728485410847653654522024723663, -166, 166),
-        (0, 195371814374053152303988419244937672319260020288539, -267, 168),
-        113,
+        (0, 461439063579377368653827883286523393510186528284111, -169, 169),
+        (0, 83841884269961021382012419071491180690028279374917, -266, 166),
+        112,
     ),
     "levin": (
         SeriesSpec([F(1, 3), F(1, 4)], [3], 1),
@@ -333,6 +389,39 @@ def _gamma_quotient(ups, downs):
 
     with mp.workdps(60):
         return mpmath.fprod([mpmath.gamma(m(u)) for u in ups] + [mpmath.rgamma(m(v)) for v in downs])
+
+
+def _from_zeros(zeros):
+    """prod (1 - t/z) over the given nonzero rationals."""
+    coeffs = [F(1)]
+    for z in zeros:
+        coeffs = [a - b / z for a, b in zip(coeffs + [F(0)], [F(0)] + coeffs)]
+    return RationalPolynomial(coeffs)
+
+
+def _weighted_reference(spec):
+    """sum_k kernel_k weight(-k) at 100 digits, from mpmath.hyper alone.
+
+    weight(-k) = sum_j d_j k(k-1)...(k-j+1) through the Stirling numbers of
+    the second kind, and each such falling-factorial moment of the kernel
+    is the shifted series x^j prod (a)_j / prod (b)_j pFq(a + j; b + j; x).
+    """
+    nums, dens, x = spec.kernel_numerators, spec.kernel_denominators, spec.argument
+    deg = spec.weight.degree
+    stirling = [[1] + [0] * deg]
+    for _ in range(deg):
+        prev = stirling[-1]
+        stirling.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, deg + 1)])
+    with mp.workdps(100):
+        total = mpf(0)
+        for j in range(deg + 1):
+            d = sum((-1) ** i * c * stirling[i][j] for i, c in enumerate(spec.weight.coefficients))
+            scale = d * x**j * math.prod(pochhammer(a, j) for a in nums)
+            scale /= math.prod(pochhammer(b, j) for b in dens)
+            if scale:
+                shifted = mpmath.hyper([a + j for a in nums], [b + j for b in dens], x)
+                total += mpf(scale.numerator) / scale.denominator * shifted
+        return total
 
 
 def _draw_parameter(rng, hi):
@@ -440,6 +529,50 @@ class TestBoundEncloses:
                 [F(1, 4), F(7, 3), F(3, 2), F(11, 2)], [F(3, 2), F(1, 2), F(9, 2)], x
             )
             assert abs(res.value - exact) <= res.abs_error_bound
+
+    # kernel numerators, kernel denominators, weight: Fujiwara zero radii of
+    # about 10, 90, 640, 8100 and 8300 (the last is euler1's target above)
+    RADIUS_WEIGHTS = [
+        ([F(1, 4), F(7, 3)], [F(3, 2)], _from_zeros([F(-13, 2), F(23, 3)])),
+        ([F(5, 7), F(-13, 6)], [F(11, 4)], _from_zeros([F(21, 5), F(-143, 3)])),
+        ([F(1, 4), F(7, 3)], [F(3, 2)], _from_zeros([F(-9, 4), F(31, 2), F(613, 2)])),
+        ([F(2, 3), F(9, 5)], [F(1, 7)], _from_zeros([F(42, 5), F(-143, 3), F(4089)])),
+        (_FOUND.target.kernel_numerators, _FOUND.target.kernel_denominators, _FOUND.target.weight),
+    ]
+
+    @pytest.mark.parametrize("x", [F(-9, 10), F(1, 3), F(9, 10)])
+    @pytest.mark.parametrize("case", range(len(RADIUS_WEIGHTS)))
+    def test_weighted_inside_disk_any_radius(self, case, x):
+        nums, dens, weight = self.RADIUS_WEIGHTS[case]
+        spec = WeightedSeriesSpec(nums, dens, weight, x)
+        exact = _weighted_reference(spec)
+        for options in (dict(), dict(precision=40, tol=1e-30)):
+            res = eval_numeric(spec, **options)
+            with mp.workdps(100):
+                assert abs(res.value - exact) <= res.abs_error_bound, options
+
+    @pytest.mark.parametrize("x", [F(-9, 10), F(1, 3), F(9, 10)])
+    @pytest.mark.parametrize(
+        "nums, dens",
+        [
+            # each has a numerator above its paired denominator, so
+            # sup_k (a + k)/(b + k) > 1
+            ([F(37, 4), F(2, 3)], [F(3, 2)]),
+            ([F(29, 3), F(5, 7), F(1, 6)], [F(5, 4), F(2, 5)]),
+            ([F(41, 6)], []),
+            ([F(-61, 7), F(13, 4)], [F(-11, 3)]),
+            # b + k changes sign: the terms dip, then jump near k = 20, so
+            # the ratio bound is only valid past the largest parameter
+            ([F(1, 2)], [F(-201, 10)]),
+        ],
+    )
+    def test_plain_inside_disk(self, nums, dens, x):
+        with mp.workdps(100):
+            exact = mpmath.hyper(nums, dens, x)
+        for options in (dict(), dict(precision=40, tol=1e-30)):
+            res = eval_numeric(SeriesSpec(nums, dens, x), **options)
+            with mp.workdps(100):
+                assert abs(res.value - exact) <= res.abs_error_bound, options
 
     @pytest.mark.parametrize("max_terms", [80, 100])
     def test_weighted_inside_disk_budget_exhausted(self, max_terms):
