@@ -1,17 +1,19 @@
 """Exact rational building blocks.
 
-Rising factorials, Stirling numbers of the second kind, and the
-coefficient family attached to a list of parameter pairs whose members
-differ by positive integers.  Everything in this module is computed over
-``fractions.Fraction`` with no rounding anywhere.
+Rising factorials, the hypergeometric term ratio, Stirling numbers of the
+second kind, and the coefficient family attached to a list of parameter
+pairs whose members differ by positive integers.  Everything in this module
+is computed over the integers or ``fractions.Fraction``, with no rounding
+anywhere.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import PreconditionError
 
@@ -43,6 +45,32 @@ def pochhammer_product(params: Iterable[RationalLike], k: int) -> Fraction:
     return math.prod((pochhammer(a, k) for a in params), start=Fraction(1))
 
 
+def term_ratios(
+    numerators: Iterable[RationalLike],
+    denominators: Iterable[RationalLike],
+    x: RationalLike,
+) -> Iterator[tuple[int, int]]:
+    """Yield (num_k, den_k) with term_{k+1} / term_k = num_k / den_k, k = 0, 1, ...
+
+    The terms are those of sum_k prod_a (a)_k / (prod_b (b)_k k!) x^k.  Each
+    ratio is formed over the integers: a parameter p/q contributes p + q*k,
+    and the q's and the numerator and denominator of x are folded into two
+    constants once.  den_k is 0 where some b + k vanishes.
+    """
+    x = as_rational(x)
+    nums = [(a.numerator, a.denominator) for a in map(as_rational, numerators)]
+    dens = [(b.numerator, b.denominator) for b in map(as_rational, denominators)]
+    up = x.numerator * math.prod(q for _, q in dens)
+    down = x.denominator * math.prod(q for _, q in nums)
+    for k in itertools.count():
+        num, den = up, down * (k + 1)
+        for p, q in nums:
+            num *= p + q * k
+        for p, q in dens:
+            den *= p + q * k
+        yield num, den
+
+
 def hypergeometric_terms(
     numerators: Iterable[RationalLike],
     denominators: Iterable[RationalLike],
@@ -51,19 +79,11 @@ def hypergeometric_terms(
 ) -> list[Fraction]:
     """Terms k = 0..count-1 of the series sum_k prod_a (a)_k / (prod_b (b)_k k!) x^k.
 
-    Built from the term ratio; callers rule out a vanishing b + k (k < count - 1).
+    Built from :func:`term_ratios`; callers rule out a vanishing b + k (k < count - 1).
     """
-    nums = [as_rational(a) for a in numerators]
-    dens = [as_rational(b) for b in denominators]
-    x = as_rational(x)
     terms = [Fraction(1)]
-    for k in range(count - 1):
-        ratio = x / (k + 1)
-        for a in nums:
-            ratio *= a + k
-        for b in dens:
-            ratio /= b + k
-        terms.append(terms[-1] * ratio)
+    for num, den in itertools.islice(term_ratios(numerators, denominators, x), max(count - 1, 0)):
+        terms.append(terms[-1] * num / den)
     return terms[:count]
 
 
@@ -155,23 +175,29 @@ class ParamPairs:
         return ", ".join(f"{f}:{shift}" for f, shift in self.pairs)
 
 
+def _rising_product(pairs: Iterable[tuple[Fraction, int]]) -> tuple[list[int], int]:
+    """prod_j (t + f_j)_{shift_j} as (integer coefficients, ascending; one denominator).
+
+    Over the integers: f = p/q contributes the factors q t + p + i q, i < shift,
+    and the product is divided by prod_j q_j^shift_j at the end.
+    """
+    coeffs, denominator = [1], 1
+    for f, shift in pairs:
+        p, q = f.numerator, f.denominator
+        for i in range(shift):
+            coeffs = [(p + i * q) * c + q * lower for c, lower in zip(coeffs + [0], [0] + coeffs)]
+        denominator *= q**shift
+    return coeffs, denominator
+
+
 def sigma_coefficients(pp: ParamPairs) -> list[Fraction]:
     """Coefficients of prod_j (f_j + x)_{shift_j} expanded in powers of x.
 
     Returns the ascending list of length total_shift + 1.  The constant
     term equals ``pp.poch_product`` and the leading term is 1.
     """
-    coeffs = [Fraction(1)]
-    for f, shift in pp.pairs:
-        for i in range(shift):
-            root = f + i
-            # multiply by (root + x)
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
-            for d, cd in enumerate(coeffs):
-                nxt[d] += cd * root
-                nxt[d + 1] += cd
-            coeffs = nxt
-    return coeffs
+    coeffs, denominator = _rising_product(pp.pairs)
+    return [Fraction(c, denominator) for c in coeffs]
 
 
 def c_coefficients(pp: ParamPairs) -> list[Fraction]:
@@ -182,10 +208,9 @@ def c_coefficients(pp: ParamPairs) -> list[Fraction]:
     of the second kind.  Always C_0 = 1 and C_m = 1/L exactly.
     """
     m = pp.total_shift
-    norm = pp.poch_product
-    sigma = sigma_coefficients(pp)
+    sigma, _ = _rising_product(pp.pairs)  # the denominator cancels against L = sigma_0
     return [
-        sum((sigma[j] * stirling2(j, k) for j in range(k, m + 1)), Fraction(0)) / norm
+        Fraction(sum(sigma[j] * stirling2(j, k) for j in range(k, m + 1)), sigma[0])
         for k in range(m + 1)
     ]
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import NonConvergenceError, PreconditionError
 from .exact import (
-    ParamPairs, RationalLike, as_rational, c_coefficients, hypergeometric_terms, pochhammer
+    ParamPairs, RationalLike, _rising_product, as_rational, c_coefficients, hypergeometric_terms,
+    pochhammer,
 )
 
 
@@ -109,12 +110,8 @@ class RationalPolynomial:
 
 def rising_factorial_poly(offset: RationalLike, count: int) -> RationalPolynomial:
     """The polynomial (t + offset)(t + offset + 1)...(count factors)."""
-    offset = as_rational(offset)
-    p, q = offset.numerator, offset.denominator
-    coeffs = [1]  # over integers: the product of (q t + p + i q), divided by q^count at the end
-    for i in range(count):
-        coeffs = [(p + i * q) * c + q * lower for c, lower in zip(coeffs + [0], [0] + coeffs)]
-    return RationalPolynomial(Fraction(c, q**count) for c in coeffs)
+    coeffs, denominator = _rising_product([(as_rational(offset), count)])
+    return RationalPolynomial(Fraction(c, denominator) for c in coeffs)
 
 
 def _rising_sum(coefficients: Sequence[Fraction], offset: RationalLike = 0) -> RationalPolynomial:

@@ -11,14 +11,15 @@ bound for arguments inside the unit disk, and an asymptotic tail
 completion (fitted inverse powers combined with Hurwitz zeta values) at
 unit argument, where terms only decay like a power of the index.
 
-All numeric paths draw their terms from one recurrence, which forms each
-term ratio exactly over the integers and applies it with one multiply and
-one divide.  Inside the disk the tail bound uses only the parameters and
-the absolute values of the weight's coefficients, never a bound on the
-weight's zeros, so a weight with a tiny leading coefficient does not
-delay it.  At unit argument the term list is extended, not rebuilt, when
-the term budget doubles, and each budget's Hurwitz zeta values are
-computed once and shared by the tail fit and its lower-order check.
+Every path, exact or numeric, draws its terms from one recurrence, which
+forms each term ratio exactly over the integers and applies it with one
+multiply and one divide.  Inside the disk the tail bound uses only the
+parameters and the absolute values of the weight's coefficients, never a
+bound on the weight's zeros, so a weight with a tiny leading coefficient
+does not delay it; a rounding term covers the partial sum.  At unit
+argument the term list is extended, not rebuilt, when the term budget
+doubles, and each budget's Hurwitz zeta values are computed once and
+shared by the tail fit and its lower-order check.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from mpmath import mp, mpf
 
 from .errors import PreconditionError
-from .exact import RationalLike, as_rational, hypergeometric_terms
+from .exact import RationalLike, as_rational, term_ratios
 from .polynomials import RationalPolynomial
 
 
@@ -194,12 +195,8 @@ def eval_terminating(spec: AnySeries) -> Fraction:
             "nonterminating",
             "no numerator parameter is a nonpositive integer; series does not terminate",
         )
-    nums, dens = spec.kernel_numerators, spec.kernel_denominators
-    terms = hypergeometric_terms(nums, dens, spec.argument, n + 1)
-    weight = spec.weight
-    if weight is not None:
-        terms = [term * weight.evaluate(-k) for k, term in enumerate(terms)]
-    return sum(terms, Fraction(0))
+    terms = islice(_kernel_and_weight(spec, Fraction(1)), n + 1)
+    return sum((kernel * w for kernel, w in terms), Fraction(0))
 
 
 def _max_param_magnitude(spec: AnySeries) -> float:
@@ -223,43 +220,27 @@ def _weight_zero_radius(weight: Optional[RationalPolynomial]) -> float:
     return 2.0 * bound
 
 
-def _kernel_and_weight(spec: AnySeries) -> Iterator[tuple]:
+def _kernel_and_weight(spec: AnySeries, one=mpf(1)) -> Iterator[tuple]:
     """Yield (kernel_k / D, D * weight(-k)) for k = 0, 1, 2, ...
 
     kernel_k = prod (nums)_k / (prod (dens)_k k!) * x^k, and D is the
     common denominator of the weight's coefficients (1 without a weight),
     so the product of the pair is term k and the second entry is an
     integer, from Horner on the weight's integer form.  Each kernel ratio
-    is formed exactly over the integers: a parameter p/q contributes
-    p + q*k, and the q's and the argument's numerator and denominator are
-    folded into two constants once per series; the ratio then costs one
-    mpf multiply and one mpf divide.  This is the one term recurrence of
-    every numeric path.  Consume it inside the precision context it was
-    started in.
+    is the integer pair of :func:`thomae.exact.term_ratios`, applied with
+    one multiply and one divide in the type of ``one``: ``mpf(1)`` for the
+    numeric paths (consume the generator inside the precision context it
+    was started in), ``Fraction(1)`` for exact terms.
     """
-    x = spec.argument
-    up, down = x.numerator, x.denominator
-    for a in spec.kernel_numerators:
-        down *= a.denominator
-    for b in spec.kernel_denominators:
-        up *= b.denominator
-    nums = [(a.numerator, a.denominator) for a in spec.kernel_numerators]
-    dens = [(b.numerator, b.denominator) for b in spec.kernel_denominators]
     denominator, coeffs = spec.weight._integer_form if spec.weight is not None else (1, (1,))
-    kernel = mpf(1) / denominator
-    k = 0
-    while True:
+    kernel = one / denominator
+    ratios = term_ratios(spec.kernel_numerators, spec.kernel_denominators, spec.argument)
+    for k, (num, den) in enumerate(ratios):
         w = 0
         for c in coeffs:
             w = c - w * k  # Horner at -k
         yield kernel, w
-        num, den = up, down * (k + 1)
-        for p, q in nums:
-            num *= p + q * k
-        for p, q in dens:
-            den *= p + q * k
         kernel = kernel * num / den
-        k += 1
 
 
 def _disk_tail_bound(spec: AnySeries) -> Callable[[int, object], object]:
@@ -313,22 +294,44 @@ def _disk_tail_bound(spec: AnySeries) -> Callable[[int, object], object]:
 
 
 def _sum_inside_disk(spec: AnySeries, precision: int, tol, max_terms: int) -> EvalResult:
-    """Direct summation for |x| < 1 with a geometric tail bound."""
+    """Direct summation for |x| < 1; the bound is the geometric tail plus the rounding.
+
+    With u = 2^-prec, term j carries 2j + 2 roundings (1/D, a multiply and
+    a divide per ratio, the weight), so its relative error is (2j + 2)u to
+    first order, and each addition errs by at most u |partial_j|.  As
+    |term_j| <= |partial_j| + |partial_{j-1}| to first order, the k summed
+    terms err by at most
+        u S + 2k u (S + S) = (4k + 1) u S,   S = sum_{j<k} |partial_j|.
+    The bound adds (4k + 3) u S: the spare 2u S covers the second-order
+    terms while k^2 u << 1.  Summing stops on the tail bound alone.  If the
+    rounding term by itself misses the target, the terms cancelled (or tol
+    is below the working precision), and the series is summed once more
+    with log10(rounding / tol) + 2 more digits: enough for the rounding
+    term to meet the smallest possible target, tol, with room for the
+    second pass to run up to 100 times as many terms or reach a 100 times
+    larger S.
+    """
     tail = _disk_tail_bound(spec)
-    with mp.workdps(precision + 10):
-        tol = mpf(tol)
-        partial = mpf(0)
-        terms = _kernel_and_weight(spec)
-        kernel, weight_k = next(terms)
-        k = 0
-        while k < max_terms:
-            partial += kernel * weight_k
+    digits = precision + 10
+    while True:
+        with mp.workdps(digits):
+            tol = mpf(tol)
+            partial = magnitude = mpf(0)
+            terms = _kernel_and_weight(spec)
             kernel, weight_k = next(terms)
-            k += 1
-            bound = tail(k, kernel)
-            if bound <= tol * max(1, abs(partial)):
-                return EvalResult(+partial, +bound, k, False)
-        return EvalResult(+partial, +tail(k, kernel), k, False)
+            k, bound, target = 0, mp.inf, tol
+            while k < max_terms and bound > target:
+                partial += kernel * weight_k
+                size = abs(partial)
+                magnitude += size
+                kernel, weight_k = next(terms)
+                k += 1
+                bound = tail(k, kernel)
+                target = tol * max(1, size)
+            rounding = mp.ldexp(magnitude, -mp.prec) * (4 * k + 3)
+            if rounding <= target or digits > precision + 10:  # at most one more pass
+                return EvalResult(+partial, +(bound + rounding), k, False)
+            digits += int(mp.log10(rounding / tol)) + 2
 
 
 def _fit_tail(terms, upto: int, s, zetas) -> mpf:
@@ -484,38 +487,23 @@ def eval_numeric(
     )
 
 
-def _signed_loggamma(a):
-    """(sign, log|Gamma(a)|) for real a, via reflection for a < 1/2."""
+def _gamma_argument(a):
+    """a as an mpf, rejected at a pole of Gamma."""
     value = mpf(a.numerator) / a.denominator if isinstance(a, Fraction) else mpf(a)
     if value <= 0 and value == mp.floor(value):
         raise PreconditionError("gamma_pole", f"gamma pole at nonpositive integer {a}")
-    if value >= 0.5:
-        return 1, mp.loggamma(value)
-    sp = mp.sinpi(value)
-    sign = 1 if sp > 0 else -1
-    return sign, mp.log(mp.pi / abs(sp)) - mp.loggamma(1 - value)
+    return value
 
 
 def gamma_ratio(numerators, denominators, precision: int = 50):
-    """prod Gamma(n_i) / prod Gamma(d_j), via signed log-gamma.
+    """prod Gamma(n_i) / prod Gamma(d_j), by ``mp.gammaprod``.
 
     Accepts exact rationals or floats; rejects any argument at a pole.
-    Negative non-integer arguments are handled through the reflection
-    formula with explicit sign tracking, so the result keeps its sign
-    even when individual gamma values are negative.
     """
     with mp.workdps(precision + 10):
-        total = mpf(0)
-        sign = 1
-        for a in numerators:
-            sg, lg = _signed_loggamma(a)
-            sign *= sg
-            total += lg
-        for b in denominators:
-            sg, lg = _signed_loggamma(b)
-            sign *= sg  # 1/sign == sign for +-1
-            total -= lg
-        return +(sign * mp.exp(total))
+        return mp.gammaprod(
+            [_gamma_argument(a) for a in numerators], [_gamma_argument(b) for b in denominators]
+        )
 
 
 def parametric_excess(

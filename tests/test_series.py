@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from thomae.errors import PreconditionError
-from thomae.exact import ParamPairs, hypergeometric_terms, pochhammer
+from thomae.exact import ParamPairs, pochhammer, pochhammer_product
 from thomae.polynomials import RationalPolynomial, build_Q
 from thomae.series import (
     EvalResult,
@@ -216,8 +216,33 @@ class TestEvalNumeric:
             assert gap <= direct.abs_error_bound + accelerated.abs_error_bound
 
 
+def _closed_form_terms(nums, dens, weight, x, count):
+    """prod (a)_k / (prod (b)_k k!) x^k weight(-k) for k < count, each from its closed form."""
+    return [
+        pochhammer_product(nums, k) / (pochhammer_product(dens, k) * math.factorial(k)) * x**k
+        * (1 if weight is None else weight.evaluate(-k))
+        for k in range(count)
+    ]
+
+
+_sevenths = st.fractions(min_value=F(-6), max_value=F(6), max_denominator=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=8),
+    a=_sevenths,
+    b=_sevenths.filter(lambda b: b.denominator > 1 or b > 0),
+    weight=st.lists(_sevenths, min_size=1, max_size=4).filter(any).map(RationalPolynomial),
+    x=st.fractions(min_value=F(-3), max_value=F(-1, 7), max_denominator=7),
+)
+def test_eval_terminating_matches_closed_form(n, a, b, weight, x):
+    spec = WeightedSeriesSpec([-n, a], [b], weight, x)
+    assert eval_terminating(spec) == sum(_closed_form_terms([-n, a], [b], weight, x, n + 1))
+
+
 class TestTermGenerator:
-    """The one numeric term recurrence against exact rational terms."""
+    """The one numeric term recurrence against closed-form rational terms."""
 
     # w(t) = (t + 3)(t - 2/7), so w(-3) = 0
     ZERO_AT_3 = RationalPolynomial([F(-6, 7), F(19, 7), 1])
@@ -236,12 +261,11 @@ class TestTermGenerator:
         # the disk path sums at precision + 10 digits; 300 terms there must
         # keep every term to the requested precision
         precision, count = 30, 300
-        exact = hypergeometric_terms(nums, dens, x, count)
+        exact = _closed_form_terms(nums, dens, weight, x, count)
         if weight is None:
             spec = SeriesSpec(nums, dens, x)
         else:
             spec = WeightedSeriesSpec(nums, dens, weight, x)
-            exact = [term * weight.evaluate(-k) for k, term in enumerate(exact)]
         with mp.workdps(precision + 10):
             got = [kernel * w for kernel, w in islice(_kernel_and_weight(spec), count)]
         if weight is self.ZERO_AT_3:
@@ -334,8 +358,8 @@ class TestParametricExcess:
 # of the bound, terms_used), recorded with mpmath 1.3.0.  A change that moves
 # any of these bits is a declared output change: re-record the entry and
 # state the old and new tuples, with each new value inside the old bound.
-# They were last re-recorded when the term ratio became an exact integer
-# ratio and the disk tail bound stopped using the weight's zero radius.
+# The disk entry's bound was last re-recorded when the disk bound gained its
+# rounding term; the others when the term ratio became an exact integer ratio.
 _PIN_WEIGHT = build_Q(ParamPairs([(F(1, 2), 2)]), F(5, 2), F(3, 2))
 PINNED = {
     "unit_plain": (
@@ -356,7 +380,7 @@ PINNED = {
         WeightedSeriesSpec([F(1, 4), F(7, 3)], [F(3, 2)], _PIN_WEIGHT, F(-1, 2)),
         dict(precision=40, tol=1e-30),
         (0, 461439063579377368653827883286523393510186528284111, -169, 169),
-        (0, 83841884269961021382012419071491180690028279374917, -266, 166),
+        (0, 335367537079844105328289374455360893240207444329389, -268, 168),
         112,
     ),
     "levin": (
@@ -573,6 +597,29 @@ class TestBoundEncloses:
             res = eval_numeric(SeriesSpec(nums, dens, x), **options)
             with mp.workdps(100):
                 assert abs(res.value - exact) <= res.abs_error_bound, options
+
+    @pytest.mark.parametrize(
+        "nums, dens, x",
+        [
+            # the terms peak near 1e74 and cancel to about 0.1
+            ([F(1, 2), F(161, 2)], [F(3, 2)], F(-9, 10)),
+            # no cancellation, but the tail bound (about 1e-213) is far
+            # below the rounding of the sum
+            ([F(101, 2)], [F(121, 2)], F(1, 100)),
+        ],
+    )
+    def test_rounding_inside_disk(self, nums, dens, x):
+        with mp.workdps(100):
+            exact = mpmath.hyper(nums, dens, x)
+        for options in (dict(), dict(precision=40, tol=1e-30)):
+            res = eval_numeric(SeriesSpec(nums, dens, x), **options)
+            with mp.workdps(100):
+                assert abs(res.value - exact) <= res.abs_error_bound, options
+                # a cancelling sum is redone at a higher precision, so the
+                # bound stays near the request: the tail meets it, and the
+                # rounding term is below it
+                tol = options.get("tol", 1e-12)
+                assert res.abs_error_bound <= 2 * tol * max(1, abs(exact)), options
 
     @pytest.mark.parametrize("max_terms", [80, 100])
     def test_weighted_inside_disk_budget_exhausted(self, max_terms):
