@@ -40,9 +40,30 @@ def pochhammer(a: RationalLike, n: int) -> Fraction:
     return out
 
 
+def pochhammer_vanishes(a: RationalLike, n: int) -> bool:
+    """Whether (a)_n = 0, that is, whether a is one of 0, -1, ..., 1 - n."""
+    a = as_rational(a)
+    return a.denominator == 1 and -n < a <= 0
+
+
 def pochhammer_product(params: Iterable[RationalLike], k: int) -> Fraction:
     """Product of ascending factorials (a_1)_k ... (a_p)_k; empty list gives 1."""
     return math.prod((pochhammer(a, k) for a in params), start=Fraction(1))
+
+
+def _rising_numerators(params: Iterable[RationalLike], count: int) -> tuple[list[int], int]:
+    """Integers N_0..N_{count-1} and q with (a_1)_k ... (a_p)_k = N_k / q^k.
+
+    A parameter p/q_a contributes the factors p + q_a l, l < k, and q is the
+    product of the q_a.
+    """
+    params = [as_rational(a) for a in params]
+    numerators = [1]
+    for step in range(count - 1):
+        numerators.append(
+            numerators[-1] * math.prod(a.numerator + a.denominator * step for a in params)
+        )
+    return numerators, math.prod(a.denominator for a in params)
 
 
 def term_ratios(
@@ -184,8 +205,8 @@ def _rising_product(pairs: Iterable[tuple[Fraction, int]]) -> tuple[list[int], i
     coeffs, denominator = [1], 1
     for f, shift in pairs:
         p, q = f.numerator, f.denominator
-        for i in range(shift):
-            coeffs = [(p + i * q) * c + q * lower for c, lower in zip(coeffs + [0], [0] + coeffs)]
+        for step in range(p, p + shift * q, q):  # p + i q, i < shift
+            coeffs = [step * c + q * lower for c, lower in zip(coeffs + [0], [0] + coeffs)]
         denominator *= q**shift
     return coeffs, denominator
 
@@ -200,6 +221,18 @@ def sigma_coefficients(pp: ParamPairs) -> list[Fraction]:
     return [Fraction(c, denominator) for c in coeffs]
 
 
+def _c_numerators(pp: ParamPairs) -> tuple[list[int], int]:
+    """Integers n_0..n_m and L with C_k = n_k / L (see :func:`c_coefficients`).
+
+    n_k = sum_{j>=k} sigma_j S(j, k) over the integer coefficients sigma_j of
+    :func:`_rising_product`, and L = sigma_0: their common denominator cancels.
+    """
+    m = pp.total_shift
+    sigma, _ = _rising_product(pp.pairs)
+    numerators = [sum(sigma[j] * stirling2(j, k) for j in range(k, m + 1)) for k in range(m + 1)]
+    return numerators, sigma[0]
+
+
 def c_coefficients(pp: ParamPairs) -> list[Fraction]:
     """The pair-expansion coefficients C_0..C_m of the shifted product.
 
@@ -207,12 +240,8 @@ def c_coefficients(pp: ParamPairs) -> list[Fraction]:
     ascending-factorial product over the pairs and S the Stirling numbers
     of the second kind.  Always C_0 = 1 and C_m = 1/L exactly.
     """
-    m = pp.total_shift
-    sigma, _ = _rising_product(pp.pairs)  # the denominator cancels against L = sigma_0
-    return [
-        Fraction(sum(sigma[j] * stirling2(j, k) for j in range(k, m + 1)), sigma[0])
-        for k in range(m + 1)
-    ]
+    numerators, denominator = _c_numerators(pp)
+    return [Fraction(n, denominator) for n in numerators]
 
 
 def c_via_terminating_series(pp: ParamPairs, k: int) -> Fraction:

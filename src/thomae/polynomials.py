@@ -2,9 +2,11 @@
 weight polynomials of the transformation theorems.
 
 The two weight families built here are degree-m polynomials normalized to
-value 1 at the origin; their nonvanishing zeros become the shifted
-parameter pairs of a transformed series.  ``find_zeros`` recovers those
-zeros numerically as companion-matrix eigenvalues (``numpy.roots``).
+value 1 at the origin, built over the integers in the rising-factorial
+basis; their nonvanishing zeros become the shifted parameter pairs of a
+transformed series.  ``find_zeros`` recovers those zeros numerically as
+companion-matrix eigenvalues (``numpy.roots``) and polishes the ones that
+miss its tolerance.
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-import numpy as np
+from mpmath import mp
 
 from .errors import NonConvergenceError, PreconditionError
 from .exact import (
-    ParamPairs, RationalLike, _rising_product, as_rational, c_coefficients, hypergeometric_terms,
-    pochhammer,
+    ParamPairs, RationalLike, _c_numerators, _rising_numerators, _rising_product, as_rational,
+    pochhammer_vanishes,
 )
 
 
@@ -114,35 +116,53 @@ def rising_factorial_poly(offset: RationalLike, count: int) -> RationalPolynomia
     return RationalPolynomial(Fraction(c, denominator) for c in coeffs)
 
 
-def _rising_sum(coefficients: Sequence[Fraction], offset: RationalLike = 0) -> RationalPolynomial:
-    """sum_j coefficients[j] (t+offset)_j in the monomial basis."""
-    out = [Fraction(0)] * len(coefficients)
-    for j, h in enumerate(coefficients):
-        for i, c in enumerate(rising_factorial_poly(offset, j).coefficients):
-            out[i] += h * c
-    return RationalPolynomial(out)
+def _rising_sum(numerators: Sequence[int], denominator: int, offset: int = 0) -> RationalPolynomial:
+    """sum_j numerators[j] (t+offset)_j / denominator in the monomial basis.
 
-
-def _weight_polynomial(
-    pp: ParamPairs, front: Sequence[Fraction], inner: Callable[[int], list[Fraction]]
-) -> RationalPolynomial:
-    """sum_k front[k] C_k (t)_k sum_i inner(k)[i] (t+k)_i, with C_k from c_coefficients.
-
-    Since (t)_k (t+k)_i = (t)_{k+i}, this is sum_j h_j (t)_j with the
-    scalars h_j = sum_{k+i=j} front[k] C_k inner(k)[i].
+    The offset is an integer, so every row (t+offset)_j has integer
+    coefficients and the sum stays in integers up to the one division.
     """
-    h = [Fraction(0)] * len(front)
-    for k, ck in enumerate(c_coefficients(pp)):
-        for i, g in enumerate(inner(k)):
-            h[k + i] += front[k] * ck * g
-    return _rising_sum(h)
+    out = [0] * len(numerators)
+    for j, h in enumerate(numerators):
+        for i, c in enumerate(rising_factorial_poly(offset, j).coefficients):
+            out[i] += h * c.numerator
+    return RationalPolynomial(Fraction(c, denominator) for c in out)
 
 
-def _g_coefficients(m: int, k: int, a: Fraction, b: Fraction, c: Fraction) -> list[Fraction]:
-    """g_0..g_{m-k}, the coefficients of G_{m,k} in the basis (t+k)_i."""
-    return hypergeometric_terms(
-        [-m + k, c - a - b - m], [c - a - m + k, c - b - m + k], 1, m - k + 1
-    )
+def _rising_scalars(
+    lead: tuple[Sequence[int], int],
+    n: int,
+    sign: int,
+    front: Sequence[Fraction],
+    inner: Sequence[Fraction],
+    dens: Sequence[Fraction],
+) -> tuple[list[int], int]:
+    """Integers h_0..h_n and one denominator E with
+
+        h_j / E = sum_{k+i=j} lead_k s^k (front)_k (-1)^i C(n-k, i) (inner)_i / (dens)_j,
+
+    the scalar of (t)_j in both weight polynomials and in G.  Here lead is
+    (numerators, denominator) of the lead_k, s = sign, and (list)_k is the
+    product of the rising factorials of the list.  Each such product is
+    N_k / q^k (``_rising_numerators``), so the (k, i) term times
+    (q_front q_inner)^j is an integer, and N_dens[j] divides N_dens[n]: E =
+    lead denominator * N_dens[n] * (q_front q_inner)^n serves every j.  The
+    caller rules out a vanishing (dens)_n.
+    """
+    lead_numerators, lead_denominator = lead
+    fronts, front_q = _rising_numerators(front, n + 1)
+    inners, inner_q = _rising_numerators(inner, n + 1)
+    bottoms, dens_q = _rising_numerators(dens, n + 1)
+    left = [c * sign**k * f * inner_q**k for k, (c, f) in enumerate(zip(lead_numerators, fronts))]
+    right = [(-1) ** i * g * front_q**i for i, g in enumerate(inners)]
+    scale = front_q * inner_q
+    h = []
+    for j in range(n + 1):
+        total = sum(
+            left[k] * right[j - k] * math.comb(n - k, j - k) for k in range(min(j + 1, len(left)))
+        )
+        h.append(total * dens_q**j * (bottoms[n] // bottoms[j]) * scale ** (n - j))
+    return h, lead_denominator * bottoms[n] * scale**n
 
 
 def build_G(m: int, k: int, a: RationalLike, b: RationalLike, c: RationalLike) -> RationalPolynomial:
@@ -163,7 +183,7 @@ def build_G(m: int, k: int, a: RationalLike, b: RationalLike, c: RationalLike) -
                 f"denominator factor vanishes at step {i}: "
                 f"(c-a-m+k)={den1}, (c-b-m+k)={den2}",
             )
-    return _rising_sum(_g_coefficients(m, k, a, b, c), k)
+    return _rising_sum(*_rising_scalars(([1], 1), m - k, 1, [], [c - a - b - m], [den1, den2]), k)
 
 
 def build_Q(pp: ParamPairs, b: RationalLike, c: RationalLike) -> RationalPolynomial:
@@ -177,8 +197,12 @@ def build_Q(pp: ParamPairs, b: RationalLike, c: RationalLike) -> RationalPolynom
 
     Built in the rising-factorial basis.  By Chu-Vandermonde,
         (L - t)_{m-k} / (L+k)_{m-k} = sum_i (-m+k)_i / ((L+k)_i i!) (t+k)_i,
-    and (L)_m = (L)_k (L+k)_{m-k}, so the k-th front factor is (b)_k / (L)_k.
-    The cbm check rules out every divisor L + j (j < m).
+    and (L)_m = (L)_k (L+k)_{m-k}, so the scalar of (t)_j is
+        h_j = sum_{k+i=j} C_k (b)_k (-1)^i C(m-k, i) / (L)_j.
+    ``_rising_scalars`` forms every h_j over one integer denominator and
+    ``_rising_sum`` changes to monomials in integers, so no Fraction is
+    built before the coefficients.  The cbm check rules out every divisor
+    L + j (j < m).
     """
     b, c = as_rational(b), as_rational(c)
     m = pp.total_shift
@@ -188,14 +212,11 @@ def build_Q(pp: ParamPairs, b: RationalLike, c: RationalLike) -> RationalPolynom
                 "b_equals_f", f"parameter b={b} coincides with base parameter f={f}"
             )
     lam = c - b - m
-    if pochhammer(lam, m) == 0:
+    if pochhammer_vanishes(lam, m):
         raise PreconditionError(
             "cbm_pochhammer_zero", f"(c-b-m)_m vanishes for c-b-m={lam}, m={m}"
         )
-    front = hypergeometric_terms([b, 1], [lam], 1, m + 1)  # (b)_k / (L)_k
-    return _weight_polynomial(
-        pp, front, lambda k: hypergeometric_terms([-m + k], [lam + k], 1, m - k + 1)
-    )
+    return _rising_sum(*_rising_scalars(_c_numerators(pp), m, 1, [b], [], [lam]))
 
 
 def build_Qhat(
@@ -205,23 +226,29 @@ def build_Qhat(
 
     Q^(t) = sum_k [(-1)^k C_k (a)_k (b)_k / ((c-a-m)_k (c-b-m)_k)] (t)_k G_{m,k}(t).
 
-    Built in the rising-factorial basis from G's coefficients, with no G
-    polynomial.  build_G's degenerate_g_denominator cannot fire here: G_{m,k}
-    divides only by c-a-m+j and c-b-m+j with j < m, which the cam and cbm
-    checks below rule out.
+    Built in the rising-factorial basis, with no G polynomial.  G_{m,k}'s
+    coefficient of (t+k)_i carries (c-a-m+k)_i (c-b-m+k)_i in its
+    denominator, which joins the front's to give the scalar of (t)_j
+        h_j = sum_{k+i=j} (-1)^k C_k (a)_k (b)_k (-1)^i C(m-k, i) (c-a-b-m)_i
+              / ((c-a-m)_j (c-b-m)_j),
+    formed over one integer denominator as in :func:`build_Q`.
+    build_G's degenerate_g_denominator cannot fire here: G_{m,k} divides
+    only by c-a-m+j and c-b-m+j with j < m, which the cam and cbm checks
+    below rule out.
     """
     a, b, c = as_rational(a), as_rational(b), as_rational(c)
     m = pp.total_shift
-    if pochhammer(c - a - m, m) == 0:
+    if pochhammer_vanishes(c - a - m, m):
         raise PreconditionError(
             "cam_pochhammer_zero", f"(c-a-m)_m vanishes for c-a-m={c - a - m}, m={m}"
         )
-    if pochhammer(c - b - m, m) == 0:
+    if pochhammer_vanishes(c - b - m, m):
         raise PreconditionError(
             "cbm_pochhammer_zero", f"(c-b-m)_m vanishes for c-b-m={c - b - m}, m={m}"
         )
-    front = hypergeometric_terms([a, b, 1], [c - a - m, c - b - m], -1, m + 1)
-    return _weight_polynomial(pp, front, lambda k: _g_coefficients(m, k, a, b, c))
+    return _rising_sum(*_rising_scalars(
+        _c_numerators(pp), m, -1, [a, b], [c - a - b - m], [c - a - m, c - b - m]
+    ))
 
 
 @dataclass(frozen=True)
@@ -239,17 +266,45 @@ class ZeroSet:
     converged: bool
 
 
+POLISH_DIGITS, POLISH_STEPS = 40, 3
+
+
+def _polish(p: RationalPolynomial, zs: list[complex], misses: list[int]) -> None:
+    """Move each zero zs[i], i in ``misses``, by a few Newton steps at
+    POLISH_DIGITS digits on the exact coefficients, in place.
+
+    A zero keeps its new place only if it moved less than half the distance
+    to its nearest neighbour in ``zs``, so no two zeros can merge.
+    """
+    with mp.workdps(POLISH_DIGITS):
+        coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(p.coefficients)]
+        for i in misses:
+            nearest = min((abs(zs[i] - z) for j, z in enumerate(zs) if j != i), default=math.inf)
+            z = mp.mpc(zs[i])
+            for _ in range(POLISH_STEPS):
+                value, slope = mp.polyval(coeffs, z, derivative=True)
+                if not slope:
+                    break
+                z -= value / slope
+            if abs(complex(z) - zs[i]) < nearest / 2:
+                zs[i] = complex(z)
+
+
 def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
     """All complex zeros of ``p`` as eigenvalues of its companion matrix.
 
     Requires degree >= 1 and p(0) != 0, with the leading and constant
     coefficients inside the float range.  The zeros come from
     ``numpy.roots`` on the float coefficients, which is backward stable in
-    them (Edelman and Murakami, Math. Comp. 1995).  If any relative
-    residual exceeds ``tol`` a NonConvergenceError carrying the zeros is
-    raised; a zero so large that its residual overflows counts as a miss
+    them (Edelman and Murakami, Math. Comp. 1995).  Each zero whose relative
+    residual exceeds ``tol`` is then polished (``_polish``); a set in which
+    every zero already meets ``tol`` is returned as numpy gave it.  If a
+    residual still exceeds ``tol`` a NonConvergenceError carrying the zeros
+    is raised; a zero so large that its residual overflows counts as a miss
     (residual inf).
     """
+    import numpy as np  # only zero finding and the oracle need numpy
+
     if p.is_zero() or p.degree < 1:
         raise PreconditionError("degenerate_polynomial", "need degree >= 1")
     if p.coefficients[0] == 0:
@@ -273,7 +328,11 @@ def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
         except OverflowError:  # a zero too far out to judge: a miss
             return math.inf
 
-    zs = sorted((complex(z) for z in np.roots(coeffs[::-1])), key=lambda z: (z.real, z.imag))
+    zs = [complex(z) for z in np.roots(coeffs[::-1])]
+    misses = [i for i, z in enumerate(zs) if relative_residual(z) > tol]
+    if misses:
+        _polish(p, zs, misses)
+    zs.sort(key=lambda z: (z.real, z.imag))
     residuals = tuple(relative_residual(z) for z in zs)
     converged = all(r <= tol for r in residuals)
     result = ZeroSet(tuple(zs), residuals, converged)

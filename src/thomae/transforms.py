@@ -16,7 +16,7 @@ from typing import Union
 from mpmath import mp, mpf
 
 from .errors import PreconditionError
-from .exact import ParamPairs, RationalLike, as_rational, pochhammer
+from .exact import ParamPairs, RationalLike, as_rational, pochhammer, pochhammer_vanishes
 from .polynomials import RationalPolynomial, build_Q, build_Qhat
 from .series import (
     SeriesSpec,
@@ -132,7 +132,7 @@ def _shifted_pochhammer(letter: str, c: Fraction, p: Fraction, m: int) -> Condit
     """(c-p-m)_m != 0 for the numerator parameter p named ``letter``."""
     return ConditionCheck(
         f"c{letter}m_pochhammer_zero",
-        pochhammer(c - p - m, m) != 0,
+        not pochhammer_vanishes(c - p - m, m),
         f"(c-{letter}-m)_m must be nonzero, c-{letter}-m={c - p - m}",
     )
 
@@ -274,7 +274,9 @@ def thomae_terminating(
         _shifted_pochhammer("b", c, b, m),
         _ed_positive(d, e),
         ConditionCheck(
-            "en_pochhammer_zero", pochhammer(e, n) != 0, f"(e)_n must be nonzero, e={e}, n={n}"
+            "en_pochhammer_zero",
+            not pochhammer_vanishes(e, n),
+            f"(e)_n must be nonzero, e={e}, n={n}",
         ),
     ])
     weight = build_Q(pp, b, c)

@@ -13,9 +13,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .errors import NonConvergenceError, PreconditionError
@@ -29,6 +28,9 @@ from .transforms import (
     thomae,
     thomae_terminating,
 )
+
+if TYPE_CHECKING:  # numpy is imported where the oracle runs, not on every start
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,8 @@ def _series_values_on_nodes(inner: SeriesSpec, xs: np.ndarray) -> np.ndarray:
     running sum of the logarithms of the term ratios, summed in chunks
     until the running term drops below relative machine noise.
     """
+    import numpy as np
+
     n = inner.termination_index()
     if n is not None:
         coeffs = hypergeometric_terms(inner.numerator_params, inner.denominator_params, 1, n + 1)
@@ -192,6 +196,8 @@ def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.nda
     and the k = 1 off-diagonal entry are written in cancelled form, since
     the general formulas are 0/0 at alpha + beta = 0 and alpha + beta = -1.
     """
+    import numpy as np
+
     ab = alpha + beta
     k = np.arange(1, n, dtype=float)
     diagonal = np.concatenate((

@@ -394,6 +394,13 @@ def test_import_leaves_scipy_unloaded():
     assert result.returncode == 0, result.stderr
 
 
+def test_import_leaves_numpy_unloaded():
+    # only the zero finder and the quadrature oracle import numpy, when they run
+    code = "import sys, thomae.cli; assert 'numpy' not in sys.modules, 'numpy was imported'"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 class TestJsonRoundTrip:
     @pytest.mark.parametrize(
         "args",

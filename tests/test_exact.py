@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 from thomae.errors import PreconditionError
 from thomae.exact import (
     ParamPairs,
+    _rising_numerators,
     c_coefficients,
     c_via_terminating_series,
     falling_factorial,
     hypergeometric_terms,
     pochhammer,
     pochhammer_product,
+    pochhammer_vanishes,
     sigma_coefficients,
     stirling2,
 )
@@ -49,6 +51,21 @@ class TestPochhammer:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             pochhammer(1, -1)
+
+    def test_vanishes_exactly_when_a_factor_is_zero(self):
+        for a in [Fraction(p, q) for p in range(-12, 5) for q in (1, 2, 3)]:
+            for n in range(8):
+                assert pochhammer_vanishes(a, n) == (pochhammer(a, n) == 0)
+
+    def test_integer_numerators(self):
+        rng = random.Random(13)
+        for _ in range(30):
+            params = [Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+                      for _ in range(rng.randint(0, 3))]
+            numerators, q = _rising_numerators(params, 9)
+            assert q == math.prod(a.denominator for a in params)
+            for k, n in enumerate(numerators):
+                assert Fraction(n, q**k) == pochhammer_product(params, k)
 
 
 class TestHypergeometricTerms:

@@ -14,6 +14,7 @@ from thomae.errors import NonConvergenceError, PreconditionError
 from thomae.exact import ParamPairs, c_coefficients, pochhammer
 from thomae.polynomials import (
     RationalPolynomial,
+    _polish,
     build_G,
     build_Q,
     build_Qhat,
@@ -262,15 +263,26 @@ class TestFindZeros:
             scale = np.abs(original).max()
             assert np.abs(rebuilt.real - original).max() <= 1e-9 * scale
 
-    @pytest.mark.parametrize("m", [16, 24, 32])
+    @pytest.mark.parametrize("m", [16, 24, 32, 96])
     @pytest.mark.parametrize("kind", ["q", "qhat"])
     def test_high_degree_weights(self, kind, m):
+        # at m = 96 six of q's companion-matrix zeros miss 1e-13 until polished
         pp = ParamPairs([(F(1, 3), m // 2), (F(2, 7), m // 2)])
         q = build_Q(pp, B, C) if kind == "q" else build_Qhat(pp, A, B, C)
         zs = find_zeros(q)
         assert q.degree == m
         assert len(zs.zeros) == m
         assert zs.converged and all(r <= 1e-13 for r in zs.residuals)
+
+    def test_polish_never_merges_zeros(self):
+        # (t-1)(t-2)(t-3) with the third zero started at 1.6: Newton runs to
+        # 2, onto another zero, so that start is kept; from 2.999 it runs to 3
+        p = RationalPolynomial([-6, 11, -6, 1])
+        for start, polished in ((1.6, 1.6), (2.999, 3.0)):
+            zs = [1.0, 2.0, start]
+            _polish(p, zs, [2])
+            assert zs[:2] == [1.0, 2.0]
+            assert abs(zs[2] - polished) < 1e-15
 
     def test_overflowing_residual_raises_nonconvergence(self):
         # zeros 1 and 10^200: |z|^2 overflows a float, so that residual is inf
@@ -337,12 +349,16 @@ class TestDefiningSums:
     equal.
     """
 
-    A, B, C = F(1, 4), F(5, 7), F(3, 2)
     PAIRS = {
         8: [(F(1, 3), 3), (F(2, 7), 5)],
         16: [(F(1, 3), 8), (F(5, 2), 8)],
         24: [(F(1, 3), 8), (F(2, 7), 8), (F(7, 5), 8)],
     }
+
+    # (a, b, c): generic values, then the shape of the benchmark's terminating
+    # euler2 cases, a = -n, b with denominator 7 and c - b - m = -N with N = m
+    # (c = b), so that every offset c - b - m + j, j < m, is a negative integer
+    PARAMETERS = [(F(1, 4), F(5, 7), F(3, 2)), (F(-3), F(-9, 7), F(-9, 7))]
 
     @staticmethod
     def _points(m):
@@ -364,33 +380,36 @@ class TestDefiningSums:
     @pytest.mark.parametrize("m", [8, 16, 24])
     def test_q(self, m):
         pp = ParamPairs(self.PAIRS[m])
-        b, c = self.B, self.C
-        lam = c - b - m
         cs = c_coefficients(pp)
-        self._assert_matches(build_Q(pp, b, c), m, lambda t: sum(
-            pochhammer(b, k) * cs[k] * pochhammer(t, k) * pochhammer(lam - t, m - k)
-            for k in range(m + 1)
-        ) / pochhammer(lam, m))
+        for _, b, c in self.PARAMETERS:
+            lam = c - b - m
+            self._assert_matches(build_Q(pp, b, c), m, lambda t: sum(
+                pochhammer(b, k) * cs[k] * pochhammer(t, k) * pochhammer(lam - t, m - k)
+                for k in range(m + 1)
+            ) / pochhammer(lam, m))
 
-    @pytest.mark.parametrize("m", [8, 16])
+    @pytest.mark.parametrize("m", [8, 16, 24])
     def test_qhat(self, m):
         pp = ParamPairs(self.PAIRS[m])
-        a, b, c = self.A, self.B, self.C
         cs = c_coefficients(pp)
-        fronts = [
-            (-1) ** k * pochhammer(a, k) * pochhammer(b, k)
-            / (pochhammer(c - a - m, k) * pochhammer(c - b - m, k))
-            for k in range(m + 1)
-        ]
-        self._assert_matches(build_Qhat(pp, a, b, c), m, lambda t: sum(
-            fronts[k] * cs[k] * pochhammer(t, k) * self._g_value(m, k, a, b, c, t)
-            for k in range(m + 1)
-        ))
+        for a, b, c in self.PARAMETERS:
+            fronts = [
+                (-1) ** k * pochhammer(a, k) * pochhammer(b, k)
+                / (pochhammer(c - a - m, k) * pochhammer(c - b - m, k))
+                for k in range(m + 1)
+            ]
+            self._assert_matches(build_Qhat(pp, a, b, c), m, lambda t: sum(
+                fronts[k] * cs[k] * pochhammer(t, k) * self._g_value(m, k, a, b, c, t)
+                for k in range(m + 1)
+            ))
 
     @pytest.mark.parametrize("m", [8, 16])
     def test_g(self, m):
-        a, b, c = self.A, self.B, self.C
-        for k in (0, m // 2, m):
-            g = build_G(m, k, a, b, c)
-            assert g.degree == m - k
-            self._assert_matches(g, m, lambda t: self._g_value(m, k, a, b, c, t))
+        for a, b, c in self.PARAMETERS:
+            for k in (0, 1, m // 2, m - 1, m):
+                g = build_G(m, k, a, b, c)
+                # m - k, unless a nonpositive integer c - a - b - m ends the sum early
+                assert g.degree == max(
+                    i for i in range(m - k + 1) if pochhammer(c - a - b - m, i) != 0
+                )
+                self._assert_matches(g, m, lambda t: self._g_value(m, k, a, b, c, t))
