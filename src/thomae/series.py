@@ -5,18 +5,22 @@ plus a polynomial weight evaluated at the negated summation index
 (``WeightedSeriesSpec``); the latter is how a transformed series is
 carried around without computing any polynomial zeros.
 
-Terminating series are summed exactly over the rationals.  Everything
-else is summed in extended-precision floating point: a geometric tail
-bound for arguments inside the unit disk, and an asymptotic tail
-completion (fitted inverse powers combined with Hurwitz zeta values) at
-unit argument, where terms only decay like a power of the index.
+Terminating series are summed exactly over the rationals.  Inside the unit
+disk a series is summed in fixed point over the Python integers, with a
+geometric tail bound; at unit argument, where terms only decay like a
+power of the index, it is summed in extended-precision floating point and
+completed with an asymptotic tail (fitted inverse powers combined with
+Hurwitz zeta values).
 
 Every path, exact or numeric, draws its terms from one recurrence, which
-forms each term ratio exactly over the integers and applies it with one
-multiply and one divide.  Inside the disk the tail bound uses only the
-parameters and the absolute values of the weight's coefficients, never a
-bound on the weight's zeros, so a weight with a tiny leading coefficient
-does not delay it; a rounding term covers the partial sum.  At unit
+forms each term ratio exactly over the integers.  Inside the disk each
+kernel is an integer in units of 2^-P, stepped by one multiply and one
+floor division, and the terms add up exactly; the floor errors are
+tracked as integers beside them, so the rounding part of the bound is
+proven, not estimated, and summing stops once tail plus rounding meets
+the request.  The tail bound uses only the parameters and the absolute
+values of the weight's coefficients, never a bound on the weight's zeros,
+so a weight with a tiny leading coefficient does not delay it.  At unit
 argument the term list is extended, not rebuilt, when the term budget
 doubles, and each budget's Hurwitz zeta values are computed once and
 shared by the tail fit and its lower-order check.
@@ -24,9 +28,10 @@ shared by the tail fit and its lower-order check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from mpmath import mp, mpf
@@ -220,33 +225,52 @@ def _weight_zero_radius(weight: Optional[RationalPolynomial]) -> float:
     return 2.0 * bound
 
 
+def _weights(spec: AnySeries) -> tuple[int, Iterator[int]]:
+    """(D, D * weight(-k) for k = 0, 1, 2, ...), from Horner on the integer form.
+
+    D is the common denominator of the weight's coefficients (1 without a
+    weight), so every yielded value is an integer.
+    """
+    denominator, coeffs = spec.weight._integer_form if spec.weight is not None else (1, (1,))
+
+    def values() -> Iterator[int]:
+        for k in count():
+            w = 0
+            for c in coeffs:
+                w = c - w * k  # Horner at -k
+            yield w
+
+    return denominator, values()
+
+
 def _kernel_and_weight(spec: AnySeries, one=mpf(1)) -> Iterator[tuple]:
     """Yield (kernel_k / D, D * weight(-k)) for k = 0, 1, 2, ...
 
-    kernel_k = prod (nums)_k / (prod (dens)_k k!) * x^k, and D is the
-    common denominator of the weight's coefficients (1 without a weight),
-    so the product of the pair is term k and the second entry is an
-    integer, from Horner on the weight's integer form.  Each kernel ratio
-    is the integer pair of :func:`thomae.exact.term_ratios`, applied with
-    one multiply and one divide in the type of ``one``: ``mpf(1)`` for the
-    numeric paths (consume the generator inside the precision context it
-    was started in), ``Fraction(1)`` for exact terms.
+    kernel_k = prod (nums)_k / (prod (dens)_k k!) * x^k, and D and the
+    integer weights are those of :func:`_weights`, so the product of the
+    pair is term k.  Each kernel ratio is the integer pair of
+    :func:`thomae.exact.term_ratios`, applied with one multiply and one
+    divide in the type of ``one``: ``mpf(1)`` for the unit-argument paths
+    (consume the generator inside the precision context it was started
+    in), ``Fraction(1)`` for exact terms.
     """
-    denominator, coeffs = spec.weight._integer_form if spec.weight is not None else (1, (1,))
+    denominator, weights = _weights(spec)
     kernel = one / denominator
     ratios = term_ratios(spec.kernel_numerators, spec.kernel_denominators, spec.argument)
-    for k, (num, den) in enumerate(ratios):
-        w = 0
-        for c in coeffs:
-            w = c - w * k  # Horner at -k
+    for (num, den), w in zip(ratios, weights):
         yield kernel, w
         kernel = kernel * num / den
 
 
-def _disk_tail_bound(spec: AnySeries) -> Callable[[int, object], object]:
-    """(k, kernel_k / D) -> bound on sum_{j >= k} |term_j| for |x| < 1.
+# Bits of the tail bound's scale factor, and of its float slack (see below).
+_TAIL_BITS = 40
 
-    Valid, and finite, once k > max|param| + 1 and rho_k (1 + 1/k)^deg < 1:
+
+def _disk_tail_bound(spec: AnySeries) -> Callable[[int], Optional[int]]:
+    """k -> an integer M_k with sum_{j >= k} |term_j| <= |kernel_k / D| M_k 2^-40.
+
+    For |x| < 1.  M_k is valid once k > max|param| + 1 and
+    rho_k (1 + 1/k)^deg < 1; before that the function returns None.
     - rho_k = |x| prod max(1, (a + k)/(b + k)) bounds every kernel ratio
       from index k on, pairing the numerators with the denominators plus
       1 (for k!), both sorted in descending order.  Each paired factor
@@ -256,82 +280,154 @@ def _disk_tail_bound(spec: AnySeries) -> Callable[[int, object], object]:
     - |weight(-j)| <= W(j) = sum_i |c_i| j^i, and W(j+1)/W(j) <= (1 + 1/k)^deg.
 
     So the tail is at most |kernel_k| W(k) / (1 - rho_k (1 + 1/k)^deg), and
-    needs no bound on the weight's zeros.  W is evaluated on the integer
-    coefficients of D * weight, to match the generator's kernel_k / D.
-    Before the bound is valid it is inf.  |x| is rounded up by 2^-40 so
-    that the float product can only overestimate rho_k.
+    needs no bound on the weight's zeros.  W(k) is the exact integer on the
+    coefficients of D * weight, to match kernel_k / D.  The rest is a float
+    q_k = (2^40 + 1) / (1 - rho_k (1 + 1/k)^deg) rounded up to an integer,
+    and M_k = W(k) q_k.  Each factor of rho_k is one correctly rounded
+    quotient of integers, and |x| is rounded up by 2^-40 so that the float
+    products can only overestimate rho_k; the spare 1 in 2^40 + 1 covers
+    the rounding of the subtraction and the division.
     """
-    x = abs(float(spec.argument)) * (1 + 2.0**-40)
+    x = abs(float(spec.argument)) * (1 + 2.0**-_TAIL_BITS)
     big = _max_param_magnitude(spec)
-    nums = sorted((float(a) for a in spec.kernel_numerators), reverse=True)
-    dens = sorted([1.0, *(float(b) for b in spec.kernel_denominators)], reverse=True)
-    growing = [(a, b) for a, b in zip(nums, dens) if a > b]
-    leftover = dens[len(nums):]
+    nums = sorted(spec.kernel_numerators, reverse=True)
+    dens = sorted([Fraction(1), *spec.kernel_denominators], reverse=True)
+    # (a + k)/(b + k) = (p + q k) s / ((r + s k) q) for a = p/q, b = r/s
+    growing = [
+        (a.numerator, a.denominator, b.numerator, b.denominator)
+        for a, b in zip(nums, dens)
+        if a > b
+    ]
+    leftover = [(b.numerator, b.denominator) for b in dens[len(nums):]]
     if spec.weight is None:
         deg, coeffs = 0, (1,)
     else:
         deg = spec.weight.degree
         coeffs = tuple(abs(c) for c in spec.weight._integer_form[1])
+    scale = float(2**_TAIL_BITS + 1)
 
-    def bound(k: int, kernel):
+    def bound(k: int) -> Optional[int]:
         if k <= big + 1:
-            return mp.inf
+            return None
         rho = x
-        for a, b in growing:
-            rho *= (a + k) / (b + k)
-        for b in leftover:
-            rho /= b + k
+        for p, q, r, s in growing:
+            rho *= (p + q * k) * s / ((r + s * k) * q)
+        for r, s in leftover:
+            rho *= s / (r + s * k)
         if deg:
-            rho *= (1 + 1 / k) ** deg
+            rho *= ((k + 1) / k) ** deg
         if rho >= 1:
-            return mp.inf
+            return None
+        q_k = scale / (1 - rho)
+        if q_k == math.inf:
+            return None
         weight = 0
         for c in coeffs:
             weight = weight * k + c
-        return abs(kernel) * weight / (1 - rho)
+        return weight * math.ceil(q_k)
 
     return bound
 
 
-def _sum_inside_disk(spec: AnySeries, precision: int, tol, max_terms: int) -> EvalResult:
-    """Direct summation for |x| < 1; the bound is the geometric tail plus the rounding.
+# Bits the fixed-point sum carries below the working precision, so that its
+# floor errors stay well under the final rounding to mp.prec bits.
+_GUARD_BITS = 8
 
-    With u = 2^-prec, term j carries 2j + 2 roundings (1/D, a multiply and
-    a divide per ratio, the weight), so its relative error is (2j + 2)u to
-    first order, and each addition errs by at most u |partial_j|.  As
-    |term_j| <= |partial_j| + |partial_{j-1}| to first order, the k summed
-    terms err by at most
-        u S + 2k u (S + S) = (4k + 1) u S,   S = sum_{j<k} |partial_j|.
-    The bound adds (4k + 3) u S: the spare 2u S covers the second-order
-    terms while k^2 u << 1.  Summing stops on the tail bound alone.  If the
-    rounding term by itself misses the target, the terms cancelled (or tol
-    is below the working precision), and the series is summed once more
-    with log10(rounding / tol) + 2 more digits: enough for the rounding
-    term to meet the smallest possible target, tol, with room for the
-    second pass to run up to 100 times as many terms or reach a 100 times
-    larger S.
+
+def _round_up(n: int, prec: int) -> int:
+    """The least integer >= n with at most ``prec`` significant bits (n >= 0)."""
+    drop = n.bit_length() - prec
+    return n if drop <= 0 else ((n >> drop) + 1) << drop
+
+
+def _fixed_point_pass(
+    spec: AnySeries, tol: float, max_terms: int, tail: Callable[[int], Optional[int]]
+) -> tuple[EvalResult, int]:
+    """One pass of :func:`_sum_inside_disk` at the current ``mp.prec``.
+
+    Returns the result and the extra decimal digits a second pass needs
+    (0 when none does).
+    """
+    prec = mp.prec
+    bits = prec + _GUARD_BITS
+    one = 1 << bits
+    tol_num, tol_den = tol.as_integer_ratio()
+    tol_shift = tol_den.bit_length() - 1  # tol_den is a power of 2
+    denominator, weights = _weights(spec)
+    ratios = term_ratios(spec.kernel_numerators, spec.kernel_denominators, spec.argument)
+    kernel, slack = one // denominator, 1  # X_k and E_k
+    total = err = k = 0
+
+    def state(k: int, kernel: int, slack: int, total: int, err: int):
+        """(tail, rounding, target) after k terms, in units of 2^-P; tail None while invalid."""
+        size = abs(total)
+        scale = tail(k)
+        tail_units = None if scale is None else ((abs(kernel) + slack) * scale >> _TAIL_BITS) + 1
+        return tail_units, err + (size >> (prec - 1)) + 1, max(one, size) * tol_num >> tol_shift
+
+    for (num, den), w in islice(zip(ratios, weights), max_terms):
+        total += kernel * w
+        err += slack * abs(w)
+        kernel = kernel * num // den
+        slack = -(-slack * abs(num) // abs(den)) + 1
+        k += 1
+        # M_k >= 2^40 W(k) >= 2^40, so the tail is at least |X_k|: while that
+        # reaches the target, neither stop below can hold
+        if abs(kernel) >= max(one, abs(total)) * tol_num >> tol_shift:
+            continue
+        tail_units, rounding, target = state(k, kernel, slack, total, err)
+        if tail_units is not None and tail_units <= target and (
+            tail_units <= target - rounding or 2 * rounding > target
+        ):
+            break
+    tail_units, rounding, target = state(k, kernel, slack, total, err)
+    met = tail_units is not None and tail_units <= target - rounding
+    value = mp.ldexp(mpf(total), -bits)
+    if tail_units is None:
+        bound = mp.inf
+    else:
+        bound = mp.ldexp(mpf(_round_up(tail_units + rounding, prec)), -bits)
+    extra = 0
+    if not met and 2 * rounding > target:
+        extra = int(math.log10(rounding) - bits * math.log10(2) - math.log10(tol)) + 2
+    return EvalResult(value, bound, k, False), extra
+
+
+def _sum_inside_disk(spec: AnySeries, precision: int, tol: float, max_terms: int) -> EvalResult:
+    """Direct summation for |x| < 1, in fixed point over the integers.
+
+    At mp.prec bits (precision + 10 digits) the sum is kept in units of
+    2^-P, P = mp.prec + _GUARD_BITS:
+    - X_0 = floor(2^P / D) and X_{k+1} = floor(X_k num_k / den_k), so X_k
+      is 2^P kernel_k / D up to an error |e_k| <= E_k, with E_0 = 1 and
+      E_{k+1} = ceil(E_k |num_k| / |den_k|) + 1, since
+      e_{k+1} = e_k num_k / den_k + (a floor's fraction in [0, 1));
+    - total = sum_k X_k w_k exactly, with the integer weights w_k of
+      :func:`_weights`, so |total - 2^P partial sum| <= err = sum_k E_k |w_k|;
+    - the value is total rounded once to mp.prec bits, which errs by at
+      most |value| 2^(1 - prec).
+    So the rounding part of the bound, in units of 2^-P, is
+    err + |total| 2^(1 - prec) + 1, proven rather than estimated.  The
+    tail from term k on is at most (|X_k| + E_k) M_k 2^-40 units
+    (:func:`_disk_tail_bound`).
+
+    Summing stops once tail + rounding <= tol max(2^P, |total|), so the
+    reported bound meets the request.  It also stops once the tail alone
+    meets that target while the rounding takes more than half of it: the
+    terms cancelled (or tol is below the working precision), and more
+    terms cannot help.  The series is then summed once more with
+    log10(rounding / tol) + 2 more digits: enough for the rounding to meet
+    the smallest possible target, tol, with room for the second pass to
+    run up to 100 times as many terms or keep 100 times larger terms.
     """
     tail = _disk_tail_bound(spec)
     digits = precision + 10
-    while True:
-        with mp.workdps(digits):
-            tol = mpf(tol)
-            partial = magnitude = mpf(0)
-            terms = _kernel_and_weight(spec)
-            kernel, weight_k = next(terms)
-            k, bound, target = 0, mp.inf, tol
-            while k < max_terms and bound > target:
-                partial += kernel * weight_k
-                size = abs(partial)
-                magnitude += size
-                kernel, weight_k = next(terms)
-                k += 1
-                bound = tail(k, kernel)
-                target = tol * max(1, size)
-            rounding = mp.ldexp(magnitude, -mp.prec) * (4 * k + 3)
-            if rounding <= target or digits > precision + 10:  # at most one more pass
-                return EvalResult(+partial, +(bound + rounding), k, False)
-            digits += int(mp.log10(rounding / tol)) + 2
+    with mp.workdps(digits):
+        result, extra = _fixed_point_pass(spec, tol, max_terms, tail)
+    if extra:
+        with mp.workdps(digits + extra):
+            result, _ = _fixed_point_pass(spec, tol, max_terms, tail)
+    return result
 
 
 def _fit_tail(terms, upto: int, s, zetas) -> mpf:

@@ -21,6 +21,8 @@ from thomae.series import (
     EvalResult,
     SeriesSpec,
     WeightedSeriesSpec,
+    _disk_tail_bound,
+    _fixed_point_pass,
     _kernel_and_weight,
     _weight_zero_radius,
     eval_numeric,
@@ -258,8 +260,8 @@ class TestTermGenerator:
         ],
     )
     def test_matches_exact_terms(self, nums, dens, weight, x):
-        # the disk path sums at precision + 10 digits; 300 terms there must
-        # keep every term to the requested precision
+        # at precision + 10 digits (the unit-argument path sums at + 25),
+        # 300 terms must keep every term to the requested precision
         precision, count = 30, 300
         exact = _closed_form_terms(nums, dens, weight, x, count)
         if weight is None:
@@ -358,8 +360,9 @@ class TestParametricExcess:
 # of the bound, terms_used), recorded with mpmath 1.3.0.  A change that moves
 # any of these bits is a declared output change: re-record the entry and
 # state the old and new tuples, with each new value inside the old bound.
-# The disk entry's bound was last re-recorded when the disk bound gained its
-# rounding term; the others when the term ratio became an exact integer ratio.
+# The disk entry was last re-recorded when the disk sum moved to fixed-point
+# integers with a proven rounding bound; the others when the term ratio
+# became an exact integer ratio.
 _PIN_WEIGHT = build_Q(ParamPairs([(F(1, 2), 2)]), F(5, 2), F(3, 2))
 PINNED = {
     "unit_plain": (
@@ -379,8 +382,8 @@ PINNED = {
     "disk_weighted": (
         WeightedSeriesSpec([F(1, 4), F(7, 3)], [F(3, 2)], _PIN_WEIGHT, F(-1, 2)),
         dict(precision=40, tol=1e-30),
-        (0, 461439063579377368653827883286523393510186528284111, -169, 169),
-        (0, 335367537079844105328289374455360893240207444329389, -268, 168),
+        (0, 230719531789688684326913941643261696755093264140829, -168, 168),
+        (0, 2116466711063028125479, -171, 71),
         112,
     ),
     "levin": (
@@ -615,11 +618,11 @@ class TestBoundEncloses:
             res = eval_numeric(SeriesSpec(nums, dens, x), **options)
             with mp.workdps(100):
                 assert abs(res.value - exact) <= res.abs_error_bound, options
-                # a cancelling sum is redone at a higher precision, so the
-                # bound stays near the request: the tail meets it, and the
-                # rounding term is below it
+                # a cancelling sum is redone at a higher precision, and
+                # summing stops on tail plus rounding, so the bound meets
+                # the request
                 tol = options.get("tol", 1e-12)
-                assert res.abs_error_bound <= 2 * tol * max(1, abs(exact)), options
+                assert res.abs_error_bound <= tol * max(1, abs(res.value)), options
 
     @pytest.mark.parametrize("max_terms", [80, 100])
     def test_weighted_inside_disk_budget_exhausted(self, max_terms):
@@ -636,3 +639,78 @@ class TestBoundEncloses:
                 [F(1, 4), F(7, 3), F(3, 2), F(11, 2)], [F(3, 2), F(1, 2), F(9, 2)], x
             )
             assert abs(res.value - exact) <= res.abs_error_bound
+
+    def _disk_case(self, rng, i):
+        """Case i of the disk sweeps: a plain 2F1, a weight with D > 1, or a
+        kernel that dips and then grows, at x = -9/10, 9/10, -1/2 or 1/3."""
+        x = (F(-9, 10), F(9, 10), F(-1, 2), F(1, 3))[i % 4]
+        kind = i // 4 % 3
+        nums = [_draw_parameter(rng, 2), _draw_parameter(rng, 2)]
+        if kind == 2:
+            # b + k changes sign near k = n: the terms shrink, then jump
+            n = rng.randint(5, 20)
+            return SeriesSpec(nums, [-n - F(rng.randint(1, 9), 10)], x)
+        dens = [_draw_parameter(rng, 2)]
+        if kind == 0:
+            return SeriesSpec(nums, dens, x)
+        degree = rng.randint(1, 3)
+        coeffs = [F(rng.randint(-30, 30), rng.randint(2, 12)) for _ in range(degree)]
+        # an even denominator on the leading coefficient keeps D > 1
+        coeffs.append(F(rng.choice([-1, 1]) * (2 * rng.randint(0, 14) + 1), 2 * rng.randint(1, 6)))
+        return WeightedSeriesSpec(nums, dens, RationalPolynomial(coeffs), x)
+
+    @staticmethod
+    def _reference(spec):
+        if spec.weight is not None:
+            return _weighted_reference(spec)
+        with mp.workdps(100):
+            return mpmath.hyper(spec.kernel_numerators, spec.kernel_denominators, spec.argument)
+
+    @pytest.mark.parametrize("precision", [20, 50])
+    def test_disk_sweep(self, precision):
+        rng = random.Random(2030 + precision)
+        weighted = 0
+        for i in range(24):
+            spec = self._disk_case(rng, i)
+            if spec.weight is not None:
+                assert spec.weight._integer_form[0] > 1
+                weighted += 1
+            exact = self._reference(spec)
+            for tol in (1e-12, 10.0 ** (5 - precision)):
+                res = eval_numeric(spec, precision=precision, tol=tol)
+                with mp.workdps(100):
+                    assert abs(res.value - exact) <= res.abs_error_bound, (i, tol)
+                    # summing stops on tail plus rounding
+                    assert res.abs_error_bound <= tol * max(1, abs(res.value)), (i, tol)
+        assert weighted == 8
+
+    @pytest.mark.parametrize("prec", [12, 24])
+    def test_fixed_point_rounding_at_low_precision(self, prec):
+        # one pass at a few bits, with tol far below them, sums all 2000
+        # terms: the tail is negligible and the bound is the rounding alone,
+        # the floor errors of the kernel recurrence (large against the value
+        # when D is large) plus the final rounding to prec bits
+        rng = random.Random(2040 + prec)
+        cases = [self._disk_case(rng, i) for i in range(24)]
+        # only the first term is nonzero, so the value is 1/3 rounded once
+        cases.append(WeightedSeriesSpec([F(1, 2)], [F(3, 2)], RationalPolynomial([F(1, 3)]), 0))
+        for i, spec in enumerate(cases):
+            with mp.workprec(prec):
+                res, _ = _fixed_point_pass(spec, 2.0**-200, 2000, _disk_tail_bound(spec))
+            exact = self._reference(spec)
+            with mp.workdps(100):
+                assert abs(res.value - exact) <= res.abs_error_bound, i
+
+    def test_disk_at_high_precision_and_huge_coefficients(self):
+        # 2^P and the weight's integer coefficients far beyond float range
+        spec = SeriesSpec([F(1, 3), F(7, 4)], [F(5, 2)], F(-1, 2))
+        res = eval_numeric(spec, precision=300, tol=1e-290)
+        with mp.workdps(320):
+            exact = mpmath.hyper(spec.kernel_numerators, spec.kernel_denominators, spec.argument)
+            assert abs(res.value - exact) <= res.abs_error_bound <= 1e-290 * abs(exact)
+        weight = RationalPolynomial([F(10**400, 3), F(-1, 7), F(10**350)])
+        spec = WeightedSeriesSpec([F(1, 3), F(7, 4)], [F(5, 2)], weight, F(9, 10))
+        res = eval_numeric(spec, tol=1e-30)
+        with mp.workdps(100):
+            exact = _weighted_reference(spec)
+            assert abs(res.value - exact) <= res.abs_error_bound <= 1e-30 * abs(exact)
