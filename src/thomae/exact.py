@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import PreconditionError
 
@@ -40,10 +40,18 @@ def pochhammer(a: RationalLike, n: int) -> Fraction:
     return out
 
 
+def nonpositive_integer(x: Fraction) -> Optional[int]:
+    """Return q >= 0 when x == -q for an integer q, else None: the pole rule
+    of Gamma(x), and (x)_k = 0 exactly for k > q."""
+    if x.denominator == 1 and x.numerator <= 0:
+        return -x.numerator
+    return None
+
+
 def pochhammer_vanishes(a: RationalLike, n: int) -> bool:
     """Whether (a)_n = 0, that is, whether a is one of 0, -1, ..., 1 - n."""
-    a = as_rational(a)
-    return a.denominator == 1 and -n < a <= 0
+    q = nonpositive_integer(as_rational(a))
+    return q is not None and q < n
 
 
 def pochhammer_product(params: Iterable[RationalLike], k: int) -> Fraction:
@@ -162,7 +170,7 @@ class ParamPairs:
             # A nonpositive-integer base makes (f)_k vanish at some index, so
             # the pair ratio (f+shift)_k/(f)_k stops matching its polynomial
             # form and the transformation identities genuinely break.
-            if f.denominator == 1 and f.numerator <= 0:
+            if nonpositive_integer(f) is not None:
                 raise PreconditionError(
                     "invalid_param_pairs",
                     f"base parameter must not be a nonpositive integer, got {f}",

@@ -300,8 +300,8 @@ def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
     residual exceeds ``tol`` is then polished (``_polish``); a set in which
     every zero already meets ``tol`` is returned as numpy gave it.  If a
     residual still exceeds ``tol`` a NonConvergenceError carrying the zeros
-    is raised; a zero so large that its residual overflows counts as a miss
-    (residual inf).
+    is raised.  For |z| > 1 the residual is the same ratio divided by |z|^n,
+    on the reversed coefficients at 1/z, so no power of |z| overflows.
     """
     import numpy as np  # only zero finding and the oracle need numpy
 
@@ -319,14 +319,13 @@ def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
         )
 
     def relative_residual(z: complex) -> float:
+        cs = coeffs
+        if abs(z) > 1:  # the same ratio divided by |z|^n: reversed coefficients at 1/z
+            cs, z = coeffs[::-1], 1 / z
         val = 0j
-        for c in reversed(coeffs):
+        for c in reversed(cs):
             val = val * z + c
-        try:
-            scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs))
-            return abs(val) / scale if scale else abs(val)
-        except OverflowError:  # a zero too far out to judge: a miss
-            return math.inf
+        return abs(val) / sum(abs(c) * abs(z) ** i for i, c in enumerate(cs))
 
     zs = [complex(z) for z in np.roots(coeffs[::-1])]
     misses = [i for i, z in enumerate(zs) if relative_residual(z) > tol]

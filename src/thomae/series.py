@@ -37,20 +37,13 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from mpmath import mp, mpf
 
 from .errors import PreconditionError
-from .exact import RationalLike, as_rational, term_ratios
+from .exact import RationalLike, as_rational, nonpositive_integer, term_ratios
 from .polynomials import RationalPolynomial
-
-
-def _nonpositive_integer(x: Fraction) -> Optional[int]:
-    """Return q >= 0 when x == -q for an integer q, else None."""
-    if x.denominator == 1 and x.numerator <= 0:
-        return -x.numerator
-    return None
 
 
 def _termination_index(numerators: Sequence[Fraction]) -> Optional[int]:
     """The smallest n with -n among the numerators, or None."""
-    stops = [q for a in numerators if (q := _nonpositive_integer(a)) is not None]
+    stops = [q for a in numerators if (q := nonpositive_integer(a)) is not None]
     return min(stops) if stops else None
 
 
@@ -67,7 +60,7 @@ def _kernel(
     dens = tuple(as_rational(b) for b in denominators)
     stop = _termination_index(nums)
     for b in dens:
-        q = _nonpositive_integer(b)
+        q = nonpositive_integer(b)
         if q is not None and (stop is None or stop > q):
             raise PreconditionError(
                 "denominator_pole",
@@ -262,7 +255,7 @@ def _kernel_and_weight(spec: AnySeries, one=mpf(1)) -> Iterator[tuple]:
         kernel = kernel * num / den
 
 
-# Bits of the tail bound's scale factor, and of its float slack (see below).
+# M_k of the disk tail bound is W(k) / (1 - rho'_k) in units of 2^-_TAIL_BITS, rounded up
 _TAIL_BITS = 40
 
 
@@ -270,7 +263,7 @@ def _disk_tail_bound(spec: AnySeries) -> Callable[[int], Optional[int]]:
     """k -> an integer M_k with sum_{j >= k} |term_j| <= |kernel_k / D| M_k 2^-40.
 
     For |x| < 1.  M_k is valid once k > max|param| + 1 and
-    rho_k (1 + 1/k)^deg < 1; before that the function returns None.
+    rho'_k = rho_k (1 + 1/k)^deg < 1; before that the function returns None.
     - rho_k = |x| prod max(1, (a + k)/(b + k)) bounds every kernel ratio
       from index k on, pairing the numerators with the denominators plus
       1 (for k!), both sorted in descending order.  Each paired factor
@@ -279,52 +272,48 @@ def _disk_tail_bound(spec: AnySeries) -> Callable[[int], Optional[int]]:
       here with x = 0, where rho_k = 0.
     - |weight(-j)| <= W(j) = sum_i |c_i| j^i, and W(j+1)/W(j) <= (1 + 1/k)^deg.
 
-    So the tail is at most |kernel_k| W(k) / (1 - rho_k (1 + 1/k)^deg), and
-    needs no bound on the weight's zeros.  W(k) is the exact integer on the
-    coefficients of D * weight, to match kernel_k / D.  The rest is a float
-    q_k = (2^40 + 1) / (1 - rho_k (1 + 1/k)^deg) rounded up to an integer,
-    and M_k = W(k) q_k.  Each factor of rho_k is one correctly rounded
-    quotient of integers, and |x| is rounded up by 2^-40 so that the float
-    products can only overestimate rho_k; the spare 1 in 2^40 + 1 covers
-    the rounding of the subtraction and the division.
+    So the tail is at most |kernel_k| W(k) / (1 - rho'_k), and needs no
+    bound on the weight's zeros.  Every step is exact over the integers:
+    with a = p/q and b = r/s, (a + k)/(b + k) = (p + q k) s / ((r + s k) q),
+    so rho'_k = top / bottom for two integers, and
+    M_k = W(k) ceil(2^40 bottom / (bottom - top)), with W(k) on the
+    integer coefficients of D * weight to match kernel_k / D.
     """
-    x = abs(float(spec.argument)) * (1 + 2.0**-_TAIL_BITS)
-    big = _max_param_magnitude(spec)
+    x = abs(spec.argument)
+    params = (*spec.kernel_numerators, *spec.kernel_denominators)
+    start = math.floor(max(map(abs, params), default=0)) + 1  # k > start iff k > max|param| + 1
     nums = sorted(spec.kernel_numerators, reverse=True)
     dens = sorted([Fraction(1), *spec.kernel_denominators], reverse=True)
-    # (a + k)/(b + k) = (p + q k) s / ((r + s k) q) for a = p/q, b = r/s
     growing = [
         (a.numerator, a.denominator, b.numerator, b.denominator)
         for a, b in zip(nums, dens)
         if a > b
     ]
     leftover = [(b.numerator, b.denominator) for b in dens[len(nums):]]
+    # the s's and q's of those quotients, folded into two constants once
+    up = x.numerator * math.prod(s for *_, s in growing) * math.prod(s for _, s in leftover)
+    down = x.denominator * math.prod(q for _, q, _, _ in growing)
     if spec.weight is None:
         deg, coeffs = 0, (1,)
     else:
         deg = spec.weight.degree
         coeffs = tuple(abs(c) for c in spec.weight._integer_form[1])
-    scale = float(2**_TAIL_BITS + 1)
 
     def bound(k: int) -> Optional[int]:
-        if k <= big + 1:
+        if k <= start:
             return None
-        rho = x
+        top, bottom = up * (k + 1) ** deg, down * k**deg
         for p, q, r, s in growing:
-            rho *= (p + q * k) * s / ((r + s * k) * q)
+            top *= p + q * k
+            bottom *= r + s * k
         for r, s in leftover:
-            rho *= s / (r + s * k)
-        if deg:
-            rho *= ((k + 1) / k) ** deg
-        if rho >= 1:
-            return None
-        q_k = scale / (1 - rho)
-        if q_k == math.inf:
+            bottom *= r + s * k
+        if top >= bottom:
             return None
         weight = 0
         for c in coeffs:
             weight = weight * k + c
-        return weight * math.ceil(q_k)
+        return weight * -((-bottom << _TAIL_BITS) // (bottom - top))
 
     return bound
 

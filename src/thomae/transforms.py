@@ -16,15 +16,11 @@ from typing import Union
 from mpmath import mp, mpf
 
 from .errors import PreconditionError
-from .exact import ParamPairs, RationalLike, as_rational, pochhammer, pochhammer_vanishes
-from .polynomials import RationalPolynomial, build_Q, build_Qhat
-from .series import (
-    SeriesSpec,
-    WeightedSeriesSpec,
-    _nonpositive_integer,
-    gamma_ratio,
-    parametric_excess,
+from .exact import (
+    ParamPairs, RationalLike, as_rational, nonpositive_integer, pochhammer, pochhammer_vanishes,
 )
+from .polynomials import RationalPolynomial, build_Q, build_Qhat
+from .series import SeriesSpec, WeightedSeriesSpec, gamma_ratio, parametric_excess
 
 
 @dataclass(frozen=True)
@@ -68,13 +64,12 @@ class PochhammerRatioPrefactor:
     count: int
 
     def exact(self) -> Fraction:
-        denominator = pochhammer(self.bottom, self.count)
-        if denominator == 0:
+        if pochhammer_vanishes(self.bottom, self.count):
             raise PreconditionError(
                 "en_pochhammer_zero",
                 f"({self.bottom})_{self.count} vanishes in the prefactor",
             )
-        return pochhammer(self.top, self.count) / denominator
+        return pochhammer(self.top, self.count) / pochhammer(self.bottom, self.count)
 
     def numeric(self, precision: int = 50):
         value = self.exact()
@@ -149,14 +144,14 @@ def _c_regular(c: Fraction) -> ConditionCheck:
     # A nonpositive-integer c breaks the analytic identities even when a
     # terminating numerator shields the literal series from the pole.
     return ConditionCheck(
-        "c_nonpositive_integer", _nonpositive_integer(c) is None,
+        "c_nonpositive_integer", nonpositive_integer(c) is None,
         f"c={c} must not be a nonpositive integer",
     )
 
 
 def _gamma_regular(name: str, value: Fraction) -> ConditionCheck:
     return ConditionCheck(
-        "gamma_pole", _nonpositive_integer(value) is None,
+        "gamma_pole", nonpositive_integer(value) is None,
         f"gamma argument {name}={value} is a nonpositive integer",
     )
 

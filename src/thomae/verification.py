@@ -9,6 +9,7 @@ and a reproducible rejection sampler for admissible random cases.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -419,45 +420,38 @@ class SweepSummary:
         return self.failed == 0 and self.admissible > 0
 
 
+# The grid of :func:`terminating_sweep`: pair bases f and the values of b, d and c
+_SWEEP_F = (Fraction(1, 2), Fraction(1, 3), Fraction(2))
+_SWEEP_B = (Fraction(1, 2), Fraction(2), Fraction(-3, 2))
+_SWEEP_D = (Fraction(1, 3), Fraction(1))
+_SWEEP_C = (Fraction(5, 2), Fraction(4))
+
+
 def terminating_sweep(
     max_n: int = 6,
     max_shift: int = 3,
-    f_grid: Sequence[RationalLike] = (Fraction(1, 2), Fraction(1, 3), 2),
-    b_grid: Sequence[RationalLike] = (Fraction(1, 2), 2, Fraction(-3, 2)),
-    d_grid: Sequence[RationalLike] = (Fraction(1, 3), 1),
-    c_grid: Sequence[RationalLike] = (Fraction(5, 2), 4),
     e_grid: Sequence[RationalLike] = (Fraction(7, 2), 5, Fraction(13, 3)),
-    max_r: int = 1,
 ) -> SweepSummary:
     """Exhaustive exact check of the terminating identity on a small grid.
 
-    Every admissible tuple must give exactly equal rationals on both
-    sides; any discrepancy is recorded verbatim.
+    The pairs are none or one f:shift, shift <= max_shift.  Every admissible
+    tuple must give exactly equal rationals on both sides; any discrepancy
+    is recorded verbatim.
     """
-    pair_choices: list[ParamPairs] = [ParamPairs()]
-    if max_r >= 1:
-        for f in f_grid:
-            for shift in range(1, max_shift + 1):
-                try:
-                    pair_choices.append(ParamPairs([(f, shift)]))
-                except PreconditionError:
-                    continue
+    pair_choices = [ParamPairs()]
+    pair_choices += [ParamPairs([(f, shift)]) for f in _SWEEP_F for shift in range(1, max_shift + 1)]
     summary = SweepSummary(0, 0, 0)
-    for n in range(max_n + 1):
-        for pp in pair_choices:
-            for b in b_grid:
-                for d in d_grid:
-                    for c in c_grid:
-                        for e in e_grid:
-                            try:
-                                transform = thomae_terminating(n, b, d, c, e, pp)
-                            except PreconditionError:
-                                continue
-                            summary.admissible += 1
-                            report = verify_transform(transform)
-                            if report.passed():
-                                summary.passed += 1
-                            else:
-                                summary.failed += 1
-                                summary.failures.append(report.description)
+    grid = itertools.product(range(max_n + 1), pair_choices, _SWEEP_B, _SWEEP_D, _SWEEP_C, e_grid)
+    for n, pp, b, d, c, e in grid:
+        try:
+            transform = thomae_terminating(n, b, d, c, e, pp)
+        except PreconditionError:
+            continue
+        summary.admissible += 1
+        report = verify_transform(transform)
+        if report.passed():
+            summary.passed += 1
+        else:
+            summary.failed += 1
+            summary.failures.append(report.description)
     return summary

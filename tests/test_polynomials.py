@@ -284,15 +284,41 @@ class TestFindZeros:
             assert zs[:2] == [1.0, 2.0]
             assert abs(zs[2] - polished) < 1e-15
 
-    def test_overflowing_residual_raises_nonconvergence(self):
-        # zeros 1 and 10^200: |z|^2 overflows a float, so that residual is inf
+    def test_huge_zero_gets_a_finite_residual(self):
+        # zeros 1 and 10^200: |z|^2 overflows a float, so the residual of the
+        # far zero is taken on the reversed coefficients at 1/z
         tiny = F(1, 10**200)
+        zs = find_zeros(RationalPolynomial([1, -(1 + tiny), tiny]))
+        assert zs.converged and all(r <= 1e-13 for r in zs.residuals)
+        assert abs(zs.zeros[0] - 1) < 1e-12 and abs(zs.zeros[1] / 1e200 - 1) < 1e-12
+
+    def test_residual_at_one_over_z_matches_exact_ratio(self):
+        # |p(z)| / sum |c_i| |z|^i at 60 digits, on both sides of |z| = 1
+        coeffs = [F(1)]
+        for zero in (F(1, 2), F(-3), F(10**4), F(7, 3)):
+            coeffs = [b - zero * a for a, b in zip(coeffs + [0], [0] + coeffs)]
+        p = RationalPolynomial(coeffs)
+        zs = find_zeros(p)
+        assert max(abs(z) for z in zs.zeros) > 9999 and min(abs(z) for z in zs.zeros) < 1
+        with mpmath.workdps(60):
+            cs = [mpmath.mpf(c.numerator) / c.denominator for c in p.coefficients]
+            for z, r in zip(zs.zeros, zs.residuals):
+                z = mpmath.mpc(z)
+                exact = abs(mpmath.polyval(cs[::-1], z)) / sum(abs(c) * abs(z) ** i for i, c in enumerate(cs))
+                assert abs(r - exact) <= 1e-15
+
+    def test_nonconvergence_at_m_128_reports_finite_residuals(self):
+        # eleven zeros still miss 1e-13 after the polish; the largest has
+        # modulus above 600, where |z|^i overflowed, yet each residual is finite
+        pp = ParamPairs([(F(1, 3), 64), (F(2, 7), 64)])
         with pytest.raises(NonConvergenceError) as err:
-            find_zeros(RationalPolynomial([1, -(1 + tiny), tiny]))
+            find_zeros(build_Q(pp, B, C))
         best = err.value.best
-        assert not best.converged
-        assert abs(best.zeros[0] - 1) < 1e-12
-        assert best.residuals[0] <= 1e-13 and best.residuals[1] == math.inf
+        assert not best.converged and len(best.zeros) == 128
+        assert max(abs(z) for z in best.zeros) > 100
+        assert all(math.isfinite(r) for r in best.residuals)
+        assert 1e-13 < max(best.residuals) < 1e-10
+        assert f"worst residual {max(best.residuals):.3e}" in str(err.value)
         assert err.value.history == best.residuals
 
     def test_degenerate_inputs_rejected(self):

@@ -360,8 +360,8 @@ class TestParametricExcess:
 # of the bound, terms_used), recorded with mpmath 1.3.0.  A change that moves
 # any of these bits is a declared output change: re-record the entry and
 # state the old and new tuples, with each new value inside the old bound.
-# The disk entry was last re-recorded when the disk sum moved to fixed-point
-# integers with a proven rounding bound; the others when the term ratio
+# The disk entry was last re-recorded when its tail factor became an exact
+# integer quotient (the value did not move); the others when the term ratio
 # became an exact integer ratio.
 _PIN_WEIGHT = build_Q(ParamPairs([(F(1, 2), 2)]), F(5, 2), F(3, 2))
 PINNED = {
@@ -383,7 +383,7 @@ PINNED = {
         WeightedSeriesSpec([F(1, 4), F(7, 3)], [F(3, 2)], _PIN_WEIGHT, F(-1, 2)),
         dict(precision=40, tol=1e-30),
         (0, 230719531789688684326913941643261696755093264140829, -168, 168),
-        (0, 2116466711063028125479, -171, 71),
+        (0, 33863467376948417949625, -175, 75),
         112,
     ),
     "levin": (
@@ -465,6 +465,50 @@ def _has_pole(params):
 
 def _rising(x, n):
     return math.prod((x + k for k in range(n)), start=F(1))
+
+
+class TestDiskTailBound:
+    SPECS = {
+        "weighted": WeightedSeriesSpec([F(1, 4), F(7, 3)], [F(3, 2)], _PIN_WEIGHT, F(-1, 2)),
+        "weighted_large_radius": _FOUND.target,
+        "plain": SeriesSpec([F(1, 3), F(7, 4)], [F(5, 2)], F(9, 10)),
+        "zero_argument": SeriesSpec([F(1, 2), F(1, 3), F(-7, 4)], [], 0),
+        "zero_argument_weighted": WeightedSeriesSpec(
+            [F(1, 2)], [F(3, 2)], RationalPolynomial([F(1, 3), F(-2, 5)]), 0
+        ),
+        # the 1 for k! pairs with 5/2, so 1/3 is left over and divides by (1/3 + k)
+        "leftover_denominator": SeriesSpec([F(5, 2)], [F(1, 3)], F(-9, 10)),
+        # rho'_k >= 1 for a stretch of k past max|param| + 1 (at k = 5, 1.64)
+        "ratio_above_one": SeriesSpec([F(3), F(5, 2)], [F(1, 2)], F(-9, 10)),
+    }
+
+    @staticmethod
+    def _reference(spec, k):
+        """W(k) ceil(2^40 / (1 - rho'_k)) over Fractions, or None while invalid."""
+        if k <= max(abs(p) for p in (*spec.kernel_numerators, *spec.kernel_denominators)) + 1:
+            return None
+        nums = sorted(spec.kernel_numerators, reverse=True)
+        dens = sorted([F(1), *spec.kernel_denominators], reverse=True)
+        rho = abs(spec.argument)
+        for a, b in zip(nums, dens):
+            rho *= max(F(1), (a + k) / (b + k))
+        for b in dens[len(nums):]:
+            rho /= b + k
+        weight = spec.weight if spec.weight is not None else RationalPolynomial([1])
+        rho *= F(k + 1, k) ** weight.degree
+        if rho >= 1:
+            return None
+        scale = math.lcm(*(c.denominator for c in weight.coefficients))
+        w_k = sum(abs(c) * scale * k**i for i, c in enumerate(weight.coefficients))
+        return w_k * math.ceil(2**40 / (1 - rho))
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_matches_fraction_reference(self, name):
+        spec = self.SPECS[name]
+        bound = _disk_tail_bound(spec)
+        expected = [self._reference(spec, k) for k in range(400)]
+        assert [bound(k) for k in range(400)] == expected
+        assert expected[-1] is not None
 
 
 class TestBoundEncloses:
