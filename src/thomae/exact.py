@@ -198,11 +198,6 @@ class ParamPairs:
     def denominator_parameters(self) -> tuple[Fraction, ...]:
         return tuple(f for f, _ in self.pairs)
 
-    def describe(self) -> str:
-        if not self.pairs:
-            return "(no shifted pairs)"
-        return ", ".join(f"{f}:{shift}" for f, shift in self.pairs)
-
 
 def _rising_product(pairs: Iterable[tuple[Fraction, int]]) -> tuple[list[int], int]:
     """prod_j (t + f_j)_{shift_j} as (integer coefficients, ascending; one denominator).

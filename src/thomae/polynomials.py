@@ -293,9 +293,11 @@ def _polish(p: RationalPolynomial, zs: list[complex], misses: list[int]) -> None
 def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
     """All complex zeros of ``p`` as eigenvalues of its companion matrix.
 
-    Requires degree >= 1 and p(0) != 0, with the leading and constant
-    coefficients inside the float range.  The zeros come from
-    ``numpy.roots`` on the float coefficients, which is backward stable in
+    Requires degree >= 1 and p(0) != 0.  The coefficients are divided by a
+    power of two taken from the largest before they become floats, so none
+    overflows and both residual sums stay finite; the leading and constant
+    coefficients must not underflow to 0.0 at that scale.  The zeros come
+    from ``numpy.roots`` on the float coefficients, which is backward stable in
     them (Edelman and Murakami, Math. Comp. 1995).  Each zero whose relative
     residual exceeds ``tol`` is then polished (``_polish``); a set in which
     every zero already meets ``tol`` is returned as numpy gave it.  If a
@@ -309,10 +311,11 @@ def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
         raise PreconditionError("degenerate_polynomial", "need degree >= 1")
     if p.coefficients[0] == 0:
         raise PreconditionError("degenerate_polynomial", "polynomial vanishes at 0")
-    try:
-        coeffs = [float(c) for c in p.coefficients]
-    except OverflowError as exc:
-        raise PreconditionError("degenerate_polynomial", "a coefficient overflows a float") from exc
+    # c / 2^shift in one correctly rounded integer division: float(c) / 2^shift
+    # whenever that is normal, and below 2 in magnitude
+    shift = max(c.numerator.bit_length() - c.denominator.bit_length() for c in p.coefficients)
+    up, down = max(-shift, 0), max(shift, 0)
+    coeffs = [(c.numerator << up) / (c.denominator << down) for c in p.coefficients]
     if coeffs[0] == 0 or coeffs[-1] == 0:
         raise PreconditionError(
             "degenerate_polynomial", "the leading or constant coefficient underflows to 0.0"

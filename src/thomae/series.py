@@ -450,11 +450,13 @@ def _sum_unit_argument(
     The term ratio approaches 1 - (1+s)/k, so the tail behaves like an
     inverse-power series; a direct cutoff alone decays only like K^(-s).
     The completion fits that inverse-power behavior and sums it exactly
-    with Hurwitz zeta values, with a conservative integral-comparison
-    cap retained as fallback bound.
+    with Hurwitz zeta values; the bound is four times the change when the
+    fit drops three orders, plus the working-precision floor.
 
-    The term budget doubles until the bound meets ``tol``.  One term list
-    is extended across the doublings, and each budget's zeta values are
+    The term budget starts at max(128, 8 max|param| + 16) and doubles until
+    the bound meets ``tol``; below that start no fit is made, and the sum of
+    max_terms + 1 terms comes with an infinite bound.  One term list is
+    extended across the doublings, and each budget's zeta values are
     computed once and shared by the tail fit and its lower-order check.
     """
     s = spec.excess()
@@ -467,15 +469,15 @@ def _sum_unit_argument(
     with mp.workdps(precision + 25):
         s_mp = mpf(s.numerator) / s.denominator
         tol = mpf(tol)
-        budget = min(max_terms, start)
-        best: Optional[EvalResult] = None
         source = (kernel * w for kernel, w in _kernel_and_weight(spec))
+        if max_terms < start:
+            return EvalResult(+mp.fsum(islice(source, max_terms + 1)), mp.inf, max_terms + 1, False)
+        budget = start
+        best: Optional[EvalResult] = None
         terms = []
         while True:
             terms.extend(islice(source, budget + 1 - len(terms)))
             partial = mp.fsum(terms)
-            window = [abs(terms[k]) * mpf(k) ** (1 + s_mp) for k in range(budget // 2, budget + 1)]
-            crude = mpf("1.5") * max(window) * mpf(budget + 1) ** (-s_mp) / s_mp
             order = min(12, max(4, budget // 24))
             zetas = [mp.zeta(1 + s_mp + i, budget + 1) for i in range(order)]
             tail = _fit_tail(terms, budget, s_mp, zetas)
@@ -483,7 +485,7 @@ def _sum_unit_argument(
             stability = 4 * abs(tail - tail_check)
             value = partial + tail
             floor = abs(value) * mpf(10) ** (-precision)
-            bound = min(crude, stability + floor)
+            bound = stability + floor
             result = EvalResult(+value, +bound, budget + 1, False)
             if best is None or bound < best.abs_error_bound:
                 best = result

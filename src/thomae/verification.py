@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from mpmath import mp, mpf
 
 from .errors import NonConvergenceError, PreconditionError
-from .exact import ParamPairs, RationalLike, as_rational, hypergeometric_terms
+from .exact import ParamPairs, RationalLike, as_rational
 from .series import SeriesSpec, eval_numeric, eval_terminating
 from .transforms import (
     PochhammerRatioPrefactor,
@@ -137,33 +137,23 @@ def verify_transform(
 def _series_values_on_nodes(inner: SeriesSpec, xs: np.ndarray) -> np.ndarray:
     """Evaluate the series at each node in float64.
 
-    Terminating series go through an exact-coefficient polynomial;
-    otherwise all parameters must be positive and each term comes from a
-    running sum of the logarithms of the term ratios, summed in chunks
+    A node's terms are the running product ``term * np.cumprod(ratios)`` of
+    the float term ratios x prod(a + k) / (prod(b + k) (k + 1)), taken in
+    chunks.  A series that terminates at n takes one chunk of its n ratios,
+    k < n, so no denominator pole is reached; any other series is summed
     until the running term drops below relative machine noise.
     """
     import numpy as np
 
     n = inner.termination_index()
-    if n is not None:
-        coeffs = hypergeometric_terms(inner.numerator_params, inner.denominator_params, 1, n + 1)
-        powers = np.vander(xs, n + 1, increasing=True)
-        return powers @ np.asarray([float(c) for c in coeffs])
-
+    out = np.ones_like(xs)
+    if n == 0:
+        return out
     nums = [float(a) for a in inner.numerator_params]
     dens = [float(b) for b in inner.denominator_params]
-    if any(v <= 0 for v in nums + dens):
-        raise PreconditionError(
-            "unsupported_inner_parameters",
-            "the quadrature oracle needs positive parameters for a "
-            "non-terminating integrand series",
-        )
-    out = np.zeros_like(xs)
-    chunk = 4096
+    chunk = 4096 if n is None else n
     for i, x in enumerate(xs):
-        total = 0.0
-        log_term = 0.0  # log of the first term of the next chunk
-        k0 = 0
+        total, term, k0 = 1.0, 1.0, 0  # term: the last term summed so far
         while True:
             ks = np.arange(k0, k0 + chunk, dtype=float)
             ratios = x / (ks + 1.0)
@@ -171,13 +161,12 @@ def _series_values_on_nodes(inner: SeriesSpec, xs: np.ndarray) -> np.ndarray:
                 ratios *= a + ks
             for b in dens:
                 ratios /= b + ks
-            steps = np.log(ratios)  # log(term[k + 1] / term[k])
-            logt = log_term + np.cumsum(steps) - steps
-            log_term = logt[-1] + steps[-1]
-            terms = np.exp(logt)
+            terms = term * np.cumprod(ratios)  # terms k0 + 1 .. k0 + chunk
             total += terms.sum()
+            term = terms[-1]
             k0 += chunk
-            if terms[-1] <= 1e-17 * max(abs(total), 1e-300) and terms[-1] <= terms[0]:
+            small = abs(term) <= 1e-17 * max(abs(total), 1e-300) and abs(term) <= abs(terms[0])
+            if n is not None or small:
                 break
             if k0 > 8_000_000:
                 raise NonConvergenceError(
@@ -219,20 +208,23 @@ def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.nda
     return nodes, math.exp(log_mu0) * vectors[0] ** 2
 
 
+# The largest Gauss-Jacobi rule the oracle tries (24 nodes, doubled up to it)
+_MAX_NODES = 768
+
+
 def beta_integral_oracle(
     d: RationalLike,
     e: RationalLike,
     inner: SeriesSpec,
     rel_tol: float = 1e-8,
-    max_nodes: int = 768,
 ) -> float:
     """Integrate x^(d-1) (1-x)^(e-d-1) * F(x) over [0, 1] by quadrature.
 
     The endpoint weight is absorbed into a Gauss-Jacobi rule (built by
     ``_gauss_jacobi``), so only the series factor is sampled, in float64
-    at strictly interior nodes; the rule size doubles until two
-    successive estimates agree to ``rel_tol``.  The ``argument`` field
-    of ``inner`` is ignored: the series is evaluated in x across the
+    at strictly interior nodes; the rule size doubles, up to _MAX_NODES,
+    until two successive estimates agree to ``rel_tol``.  The ``argument``
+    field of ``inner`` is ignored: the series is evaluated in x across the
     quadrature nodes.
     """
     d = as_rational(d)
@@ -256,7 +248,7 @@ def beta_integral_oracle(
     scale = 0.5 ** float(e - 1)
     estimates = []
     n = 24
-    while n <= max_nodes:
+    while n <= _MAX_NODES:
         nodes, weights = _gauss_jacobi(n, alpha, beta)
         xs = (1.0 + nodes) / 2.0
         values = _series_values_on_nodes(inner, xs)
@@ -267,7 +259,7 @@ def beta_integral_oracle(
                 return curr
         n *= 2
     raise NonConvergenceError(
-        f"quadrature did not stabilize to {rel_tol} within {max_nodes} nodes",
+        f"quadrature did not stabilize to {rel_tol} within {_MAX_NODES} nodes",
         best=estimates[-1],
         history=estimates,
     )
@@ -360,8 +352,7 @@ def generate_cases(seed: int, profile: CaseProfile) -> GeneratedCases:
                 e = a + b + d + pp.total_shift - c + profile.min_excess + rng.randint(0, 3)
                 params = {"a": a, "b": b, "d": d, "c": c, "e": e, "pairs": pp.pairs}
                 transform = thomae(a, b, d, c, e, pp)
-                s = transform.source.excess()
-                if s < profile.min_excess or (e - d) < 1:
+                if (e - d) < 1:
                     continue
             elif profile.kind == "thomae_terminating":
                 n = rng.randint(0, profile.max_n)
@@ -415,9 +406,6 @@ class SweepSummary:
     passed: int
     failed: int
     failures: list[str] = field(default_factory=list)
-
-    def all_passed(self) -> bool:
-        return self.failed == 0 and self.admissible > 0
 
 
 # The grid of :func:`terminating_sweep`: pair bases f and the values of b, d and c

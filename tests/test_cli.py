@@ -172,6 +172,13 @@ class TestEvalCommand:
         outputs = json.loads(result.stdout)["outputs"]
         assert outputs["series"]["weight_coefficients"] == ["1", "-20/9", "4/9"]
 
+    def test_unit_argument_below_start_budget_is_unbounded(self, capsys):
+        # three terms are too few for the tail fit: an infinite bound, no fault
+        argv = ["eval", "--numerators", "1/3,1/4", "--denominators", "3", "--x", "1",
+                "--max-terms", "3"]
+        assert cli.main(argv) == 0
+        assert "abs error bound: +inf\nterms used: 4\n" in capsys.readouterr().out
+
     def test_divergent_inside_disk_is_named_error(self):
         # a 2F0: rejected before summing, not after 400 000 terms
         result = run_cli("eval", "--numerators", "1/3,1/4", "--x", "1/2")
@@ -213,6 +220,17 @@ class TestVerifyCommand:
         assert result.returncode == 0
         assert ": pass " in result.stdout
         assert "1/1 passed" in result.stdout
+
+    @pytest.mark.parametrize("strict, code", [(False, 0), (True, 1)])
+    def test_inconclusive_exit_code(self, strict, code, capsys):
+        case = {
+            "kind": "thomae", "a": "1/4", "b": "5/2", "d": "2/7", "c": "3/2",
+            "e": "9", "pairs": [["1/2", 2]],
+        }
+        argv = ["verify", "--budget", "2", "--case", json.dumps(case)] + ["--strict"] * strict
+        assert cli.main(argv) == code
+        out = capsys.readouterr().out
+        assert ": inconclusive " in out and "0 failed, 1 inconclusive" in out
 
     def test_failing_exit_code_on_bad_input(self):
         result = run_cli("verify", "--case", "{not json")
@@ -434,7 +452,8 @@ class TestJsonRoundTrip:
 
 # Full --json reports (exit code, stdout, stderr) of `transform` for every
 # theorem with --contract, `poly` for every kind, and one call per theorem
-# that violates every condition the theorem can violate.  The zeros and
+# that violates every condition the theorem can violate; then the text
+# reports of one `transform --contract` and one `eval` call.  The zeros and
 # prefactors in them are mpmath 1.3.0 values.
 PINS = json.loads((Path(__file__).parent / "data" / "cli_pins.json").read_text())
 
@@ -444,7 +463,11 @@ PINS = json.loads((Path(__file__).parent / "data" / "cli_pins.json").read_text()
     reason="the pinned reports hold values computed with mpmath 1.3.0",
 )
 @pytest.mark.parametrize(
-    "pin", PINS, ids=lambda pin: "-".join(pin["argv"][:3:2]) + ("-violated" if pin["exit_code"] else "")
+    "pin",
+    PINS,
+    ids=lambda pin: "-".join(pin["argv"][:3:2])
+    + ("-violated" if pin["exit_code"] else "")
+    + ("" if "--json" in pin["argv"] else "-text"),
 )
 def test_pinned_report(pin, capsys):
     assert cli.main(pin["argv"]) == pin["exit_code"]

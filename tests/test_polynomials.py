@@ -321,6 +321,21 @@ class TestFindZeros:
         assert f"worst residual {max(best.residuals):.3e}" in str(err.value)
         assert err.value.history == best.residuals
 
+    def test_coefficients_near_float_limit_get_true_residuals(self):
+        # sum |c_i| |z|^i would overflow at 1e308; scaled by a power of two
+        # first, both zeros report a finite, nonzero residual
+        zs = find_zeros(RationalPolynomial([10**308, -17 * 10**307, 13 * 10**307]))
+        assert zs.converged and all(0 < r <= 1e-15 for r in zs.residuals)
+        with mpmath.workdps(40):
+            for z in zs.zeros:  # zeros of 13 t^2 - 17 t + 10
+                assert abs(mpmath.polyval([13, -17, 10], mpmath.mpc(z))) <= 1e-13
+
+    @pytest.mark.parametrize("power", [1100, -1100])
+    def test_power_of_two_scaling_gives_the_same_zero_set(self, power):
+        q = build_Q(QUAD_PAIRS, B, C)
+        scaled = RationalPolynomial([c * F(2) ** power for c in q.coefficients])
+        assert find_zeros(scaled) == find_zeros(q)
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(PreconditionError):
             find_zeros(RationalPolynomial([5]))

@@ -165,6 +165,18 @@ class TestEvalNumeric:
             bounds.append(res.abs_error_bound)
         assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
 
+    @pytest.mark.parametrize("max_terms", [1, 3, 4, 5, 127])
+    def test_unit_argument_below_start_budget_is_unbounded(self, max_terms):
+        # the tail fit starts at 128 terms here; with fewer there is no fit,
+        # and the partial sum of max_terms + 1 terms has an infinite bound
+        spec = SeriesSpec([F(1, 3), F(1, 4)], [3], 1)
+        res = eval_numeric(spec, max_terms=max_terms)
+        assert res.abs_error_bound == mp.inf
+        assert res.terms_used == max_terms + 1
+        with mp.workdps(80):
+            partial = mp.fsum(k * w for k, w in islice(_kernel_and_weight(spec), max_terms + 1))
+            assert abs(res.value - partial) <= abs(partial) * mpf(10) ** -60
+
     def test_divergent_unit_argument_rejected(self):
         spec = SeriesSpec([F(3, 2), F(3, 2)], [F(1, 2)], 1)
         with pytest.raises(PreconditionError) as err:

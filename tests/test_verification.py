@@ -3,6 +3,7 @@ the reproducible case generator."""
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,23 @@ class TestVerifyTransform:
         t = thomae(F(1, 3), F(1, 4), F(1, 5), F(2), F(3), ParamPairs())
         report = verify_transform(t, tol=1e-10)
         assert report.verdict == "pass"
+
+    def test_wrong_prefactor_fails(self):
+        # the prefactor times Gamma(3) = 2 doubles the right-hand side
+        t = thomae(F(1, 4), F(5, 2), F(1), F(3, 2), F(8), ParamPairs([(F(1, 2), 2)]))
+        wrong = dataclasses.replace(t.prefactor, numerators=t.prefactor.numerators + (F(3),))
+        report = verify_transform(dataclasses.replace(t, prefactor=wrong), tol=1e-10)
+        assert report.verdict == "fail" and not report.exact
+        assert report.discrepancy > report.combined_tolerance
+
+    @pytest.mark.parametrize("budget", [1, 2, 4, 5])
+    def test_budget_below_start_is_inconclusive(self, budget):
+        # too few terms for the unit-argument tail fit: unbounded, never "fail"
+        t = thomae(F(1, 4), F(5, 2), F(2, 7), F(3, 2), F(9), ParamPairs([(F(1, 2), 2)]))
+        report = verify_transform(t, budget=budget)
+        assert report.verdict == "inconclusive"
+        assert report.combined_tolerance == mp.inf
+        assert report.budget_used[0] == budget + 1
 
     def test_condition_log_present(self):
         t = thomae(F(1, 3), F(1, 4), F(1, 5), F(2), F(3), ParamPairs())
@@ -90,6 +108,25 @@ class TestBetaIntegralOracle:
         res = eval_numeric(series, precision=40, tol=1e-14)
         ref = float(gamma_ratio([1, 7], [8])) * float(res.value)
         assert abs(val - ref) <= 1e-8 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "nums, dens, d, e, rel",
+        [
+            ([F(-1, 2), F(1, 2)], [2], F(1), F(3), 1e-12),
+            # (1-x)^(-17/12) at x = 1 against the weight's (1-x)^2: slow convergence
+            ([F(-7, 3), F(5, 4)], [F(-5, 2)], F(1, 2), F(7, 2), 1e-8),
+            # terms of one sign that grow in magnitude past the first 4096 at
+            # nodes near x = 1: the stop rule must compare magnitudes
+            ([F(-1, 2), F(13, 3)], [2], F(1, 2), F(9, 2), 1e-10),
+            # terminates at n = 4, with negative parameters on both sides
+            ([-4, F(-7, 3), F(5, 4)], [F(-5, 2), F(1, 3)], F(1, 2), F(7, 2), 1e-12),
+        ],
+    )
+    def test_negative_parameters(self, nums, dens, d, e, rel):
+        val = beta_integral_oracle(d, e, SeriesSpec(nums, dens, 1), rel_tol=2e-8)
+        res = eval_numeric(SeriesSpec(nums + [d], dens + [e], 1), precision=40, tol=1e-15)
+        ref = float(gamma_ratio([d, e - d], [e])) * float(res.value)
+        assert abs(val - ref) <= rel * abs(ref)
 
     def test_preconditions(self):
         one = SeriesSpec([0, 1], [2], 1)
