@@ -79,25 +79,22 @@ def term_ratios(
     denominators: Iterable[RationalLike],
     x: RationalLike,
 ) -> Iterator[tuple[int, int]]:
-    """Yield (num_k, den_k) with term_{k+1} / term_k = num_k / den_k, k = 0, 1, ...
+    """Iterate (num_k, den_k) with term_{k+1} / term_k = num_k / den_k, k = 0, 1, ...
 
     The terms are those of sum_k prod_a (a)_k / (prod_b (b)_k k!) x^k.  Each
     ratio is formed over the integers: a parameter p/q contributes p + q*k,
     and the q's and the numerator and denominator of x are folded into two
-    constants once.  den_k is 0 where some b + k vanishes.
+    constants once.  Each factor steps from k to k + 1 by adding q (an
+    ``itertools.count``).  den_k is 0 where some b + k vanishes.
     """
     x = as_rational(x)
     nums = [(a.numerator, a.denominator) for a in map(as_rational, numerators)]
     dens = [(b.numerator, b.denominator) for b in map(as_rational, denominators)]
     up = x.numerator * math.prod(q for _, q in dens)
     down = x.denominator * math.prod(q for _, q in nums)
-    for k in itertools.count():
-        num, den = up, down * (k + 1)
-        for p, q in nums:
-            num *= p + q * k
-        for p, q in dens:
-            den *= p + q * k
-        yield num, den
+    num_factors = zip(itertools.repeat(up), *(itertools.count(p, q) for p, q in nums))
+    den_factors = zip(itertools.count(down, down), *(itertools.count(p, q) for p, q in dens))
+    return zip(map(math.prod, num_factors), map(math.prod, den_factors))
 
 
 def hypergeometric_terms(

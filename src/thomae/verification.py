@@ -134,47 +134,73 @@ def verify_transform(
         )
 
 
+# Terms in the first and the largest block of the node sums, and the most
+# entries (512 KiB of float64) of a block's (nodes x terms) matrix of powers
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 4096
+_BLOCK_ELEMENTS = 1 << 16
+
+
 def _series_values_on_nodes(inner: SeriesSpec, xs: np.ndarray) -> np.ndarray:
     """Evaluate the series at each node in float64.
 
-    A node's terms are the running product ``term * np.cumprod(ratios)`` of
-    the float term ratios x prod(a + k) / (prod(b + k) (k + 1)), taken in
-    chunks.  A series that terminates at n takes one chunk of its n ratios,
-    k < n, so no denominator pole is reached; any other series is summed
-    until the running term drops below relative machine noise.
+    The nodes share each block of terms k0 + 1 .. k0 + m.  Term k0 + j at
+    node x is term_k0 * C_j * x^j, where C_j = prod(ratios[:j]) over the
+    coefficient ratios prod(a + k) / (prod(b + k) (k + 1)), k >= k0, is
+    taken once for every node.  The powers x^j are one ``cumprod`` along the
+    rows of an (active nodes x m) matrix, and each node's total gains
+    term_k0 * (powers @ C).  Blocks grow from _FIRST_BLOCK terms to
+    _MAX_BLOCK, and m shrinks so that the matrix holds at most
+    _BLOCK_ELEMENTS entries.  A node stops once its last term is below
+    relative machine noise and no larger than the block's first; the rest
+    go on.  A series that terminates at n stops at k = n, so no denominator
+    pole is reached.
     """
     import numpy as np
 
     n = inner.termination_index()
-    out = np.ones_like(xs)
+    totals = np.ones_like(xs)
     if n == 0:
-        return out
+        return totals
     nums = [float(a) for a in inner.numerator_params]
     dens = [float(b) for b in inner.denominator_params]
-    chunk = 4096 if n is None else n
-    for i, x in enumerate(xs):
-        total, term, k0 = 1.0, 1.0, 0  # term: the last term summed so far
-        while True:
-            ks = np.arange(k0, k0 + chunk, dtype=float)
-            ratios = x / (ks + 1.0)
-            for a in nums:
-                ratios *= a + ks
-            for b in dens:
-                ratios /= b + ks
-            terms = term * np.cumprod(ratios)  # terms k0 + 1 .. k0 + chunk
-            total += terms.sum()
-            term = terms[-1]
-            k0 += chunk
-            small = abs(term) <= 1e-17 * max(abs(total), 1e-300) and abs(term) <= abs(terms[0])
-            if n is not None or small:
-                break
+    active = np.arange(len(xs))  # the nodes still summing
+    terms = np.ones_like(xs)  # each active node's last term summed so far
+    block = np.empty(_BLOCK_ELEMENTS)  # holds the powers matrix
+    k0, width = 0, _FIRST_BLOCK
+    while True:
+        m = min(width, _BLOCK_ELEMENTS // len(active))  # >= 1: at most _MAX_NODES nodes
+        if n is not None:
+            m = min(m, n - k0)
+        ks = np.arange(k0, k0 + m, dtype=float)
+        ratios = 1.0 / (ks + 1.0)
+        for a in nums:
+            ratios *= a + ks
+        for b in dens:
+            ratios /= b + ks
+        coefficients = np.cumprod(ratios)
+        powers = block[: len(active) * m].reshape(len(active), m)
+        powers[:] = xs[active, None]
+        np.cumprod(powers, axis=1, out=powers)
+        totals[active] += terms * (powers @ coefficients)
+        first = terms * (coefficients[0] * powers[:, 0])
+        terms = terms * (coefficients[-1] * powers[:, -1])
+        k0 += m
+        if k0 == n:
+            return totals
+        if n is None:
+            last = np.abs(terms)
+            small = last <= 1e-17 * np.maximum(np.abs(totals[active]), 1e-300)
+            going = ~(small & (last <= np.abs(first)))
+            active, terms = active[going], terms[going]
+            if not len(active):
+                return totals
             if k0 > 8_000_000:
                 raise NonConvergenceError(
-                    f"series at node x={x} did not converge within 8e6 terms",
-                    best=total,
+                    f"series at node x={xs[active[0]]} did not converge within 8e6 terms",
+                    best=totals[active[0]],
                 )
-        out[i] = total
-    return out
+        width = min(2 * width, _MAX_BLOCK)
 
 
 def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,7 @@ from thomae.exact import (
     pochhammer_vanishes,
     sigma_coefficients,
     stirling2,
+    term_ratios,
 )
 
 nonzero_fractions = st.fractions(
@@ -88,6 +89,24 @@ class TestHypergeometricTerms:
         terms = hypergeometric_terms([-2, "1/2"], [3], 2, 5)
         assert terms == [1, Fraction(-2, 3), Fraction(1, 4), 0, 0]
         assert hypergeometric_terms([], [], 1, 1) == [1]
+
+
+class TestTermRatios:
+    def test_against_the_closed_form(self):
+        # num_k = x.num prod q_b prod (p_a + q_a k), den_k = x.den prod q_a (k + 1) prod (p_b + q_b k)
+        rng = random.Random(41)
+        draw = lambda: Fraction(rng.randint(-30, 30), rng.randint(1, 12))  # noqa: E731
+        for _ in range(20):
+            nums = [draw() for _ in range(rng.randint(0, 4))]
+            dens = [draw() for _ in range(rng.randint(0, 4))]
+            x = draw()
+            pairs = itertools.islice(term_ratios(nums, dens, x), 500)
+            for k, (num, den) in enumerate(pairs):
+                up = x.numerator * math.prod(b.denominator for b in dens)
+                down = x.denominator * math.prod(a.denominator for a in nums) * (k + 1)
+                assert num == up * math.prod(a.numerator + a.denominator * k for a in nums)
+                assert den == down * math.prod(b.numerator + b.denominator * k for b in dens)
+            assert k == 499
 
 
 class TestStirling2:

@@ -4,18 +4,21 @@ the reproducible case generator."""
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from thomae.errors import PreconditionError
+from thomae.errors import NonConvergenceError, PreconditionError
 from thomae.exact import ParamPairs
 from thomae.series import SeriesSpec, eval_numeric, gamma_ratio
 from thomae.transforms import thomae, thomae_terminating
 from thomae.verification import (
     CaseProfile,
     _gauss_jacobi,
+    _series_values_on_nodes,
     beta_integral_oracle,
     generate_cases,
     terminating_sweep,
@@ -83,6 +86,55 @@ class TestGaussJacobiRule:
                 assert abs(got / exact - 1) <= 1e-12, j
 
 
+def _peak_traced_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSeriesValuesOnNodes:
+    @pytest.mark.parametrize(
+        "nums, dens",
+        [
+            # excess 1/2: near x = 1 the terms fall like k^(-3/2) x^k
+            ([F(1, 3), F(5, 4), 2], [F(3, 2), F(31, 12)]),
+            # terms of one sign that grow until x^k takes over
+            ([F(-1, 2), F(13, 3)], [2]),
+            # terminates at n = 150, past the first block; every term is positive
+            ([-150, F(-301, 2)], [F(5, 2)]),
+        ],
+    )
+    def test_matches_mpmath_hyper(self, nums, dens):
+        # up to the last node of a 384-point rule, where 1 - x = 1.7e-5;
+        # the float sums there are good to about 4e-13
+        nodes, _ = _gauss_jacobi(384, 0.5, -0.5)
+        xs = np.array([1e-3, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, (1 + nodes[-1]) / 2])
+        values = _series_values_on_nodes(SeriesSpec(nums, dens, 1), xs)
+        with mp.workdps(30):
+            ref_nums = [mpf(a.numerator) / a.denominator for a in map(F, nums)]
+            ref_dens = [mpf(b.numerator) / b.denominator for b in map(F, dens)]
+            for x, value in zip(xs, values):
+                ref = mp.hyper(ref_nums, ref_dens, mpf(x))
+                assert abs(value - ref) <= 1e-12 * abs(ref), x
+
+    def test_divergent_node_stops_at_the_term_cap(self):
+        # 2F1(1, 1; 2; x) = -log(1 - x) / x: x = 1 is the harmonic series
+        with pytest.raises(NonConvergenceError, match=r"node x=1\.0 did not converge") as err:
+            _series_values_on_nodes(SeriesSpec([1, 1], [2], 1), np.array([0.5, 1.0]))
+        assert 16 < err.value.best < 17  # H_n = log(n) + 0.577... at n = 8e6
+
+    def test_memory_is_bounded_on_the_largest_rule(self):
+        # all 768 nodes of the largest rule: each block's (nodes x terms)
+        # matrix of powers stays within 2^16 floats, 512 KiB
+        nodes, _ = _gauss_jacobi(768, 0.5, -0.5)
+        inner = SeriesSpec([F(-1, 2), F(13, 3)], [2], 1)
+        peak = _peak_traced_bytes(lambda: _series_values_on_nodes(inner, (1 + nodes) / 2))
+        assert peak < 2**20
+
+
 class TestBetaIntegralOracle:
     def test_constant_integrand_matches_gamma_ratio(self):
         one = SeriesSpec([0, 1], [2], 1)
@@ -127,6 +179,14 @@ class TestBetaIntegralOracle:
         res = eval_numeric(SeriesSpec(nums + [d], dens + [e], 1), precision=40, tol=1e-15)
         ref = float(gamma_ratio([d, e - d], [e])) * float(res.value)
         assert abs(val - ref) <= rel * abs(ref)
+
+    def test_memory_is_bounded(self):
+        # settles at 384 nodes; the Gauss-Jacobi matrices take about 2.3 MB
+        inner = SeriesSpec([6, F(9, 2), F(34, 5)], [13, F(24, 5)], 1)
+        peak = _peak_traced_bytes(
+            lambda: beta_integral_oracle(F(19, 6), F(17, 3), inner, rel_tol=2e-8)
+        )
+        assert peak < 4 * 2**20
 
     def test_preconditions(self):
         one = SeriesSpec([0, 1], [2], 1)
