@@ -141,8 +141,8 @@ _MAX_BLOCK = 4096
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _series_values_on_nodes(inner: SeriesSpec, xs: np.ndarray) -> np.ndarray:
-    """Evaluate the series at each node in float64.
+def _series_values_on_nodes(inner: SeriesSpec, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the series at each node in float64, with each node's sum of |term|.
 
     The nodes share each block of terms k0 + 1 .. k0 + m.  Term k0 + j at
     node x is term_k0 * C_j * x^j, where C_j = prod(ratios[:j]) over the
@@ -155,13 +155,19 @@ def _series_values_on_nodes(inner: SeriesSpec, xs: np.ndarray) -> np.ndarray:
     relative machine noise and no larger than the block's first; the rest
     go on.  A series that terminates at n stops at k = n, so no denominator
     pole is reached.
+
+    The sums of |term| measure how much a node's total cancels.  The nodes
+    are positive, so a block whose coefficient ratios are all positive has
+    terms of one sign at every node and adds the magnitude of its sum; only
+    a block with a negative ratio takes a second product, powers @ |C|.
     """
     import numpy as np
 
     n = inner.termination_index()
     totals = np.ones_like(xs)
+    magnitudes = np.ones_like(xs)
     if n == 0:
-        return totals
+        return totals, magnitudes
     nums = [float(a) for a in inner.numerator_params]
     dens = [float(b) for b in inner.denominator_params]
     active = np.arange(len(xs))  # the nodes still summing
@@ -182,19 +188,24 @@ def _series_values_on_nodes(inner: SeriesSpec, xs: np.ndarray) -> np.ndarray:
         powers = block[: len(active) * m].reshape(len(active), m)
         powers[:] = xs[active, None]
         np.cumprod(powers, axis=1, out=powers)
-        totals[active] += terms * (powers @ coefficients)
+        sums = terms * (powers @ coefficients)
+        totals[active] += sums
+        if (ratios < 0).any():
+            magnitudes[active] += np.abs(terms) * (powers @ np.abs(coefficients))
+        else:
+            magnitudes[active] += np.abs(sums)
         first = terms * (coefficients[0] * powers[:, 0])
         terms = terms * (coefficients[-1] * powers[:, -1])
         k0 += m
         if k0 == n:
-            return totals
+            return totals, magnitudes
         if n is None:
             last = np.abs(terms)
             small = last <= 1e-17 * np.maximum(np.abs(totals[active]), 1e-300)
             going = ~(small & (last <= np.abs(first)))
             active, terms = active[going], terms[going]
             if not len(active):
-                return totals
+                return totals, magnitudes
             if k0 > 8_000_000:
                 raise NonConvergenceError(
                     f"series at node x={xs[active[0]]} did not converge within 8e6 terms",
@@ -234,8 +245,17 @@ def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.nda
     return nodes, math.exp(log_mu0) * vectors[0] ** 2
 
 
-# The largest Gauss-Jacobi rule the oracle tries (24 nodes, doubled up to it)
+# The largest Gauss-Jacobi rule the oracle tries (24 nodes, doubled up to
+# it).  An inner series with a known endpoint rate stops on its
+# extrapolated values, one rule earlier than on the raw estimates.
 _MAX_NODES = 768
+# The factor by which the oracle's first stop test inflates the size of
+# its Richardson correction, its estimate of the raw rule's error
+_RATE_SAFETY = 4
+# The float64 rounding allowed for in each term of a node sum, 2^6 ulps.
+# An estimate is refused when this much of the integrated sums of |term|
+# would exceed rel_tol/2 of it, since the stop rule could not see it.
+_ROUNDING = 2.0**-46
 
 
 def beta_integral_oracle(
@@ -248,10 +268,23 @@ def beta_integral_oracle(
 
     The endpoint weight is absorbed into a Gauss-Jacobi rule (built by
     ``_gauss_jacobi``), so only the series factor is sampled, in float64
-    at strictly interior nodes; the rule size doubles, up to _MAX_NODES,
-    until two successive estimates agree to ``rel_tol``.  The ``argument``
-    field of ``inner`` is ignored: the series is evaluated in x across the
-    quadrature nodes.
+    at strictly interior nodes; the rule size doubles from 24 nodes up to
+    _MAX_NODES.  The ``argument`` field of ``inner`` is ignored: the series
+    is evaluated in x across the quadrature nodes.
+
+    A series that does not terminate and has one more numerator than
+    denominators behaves at x = 1 like A(x) + (1-x)^s B(x), s its excess.
+    The weight absorbs (1-x)^(e-d-1) A(x), so the n-point estimate I_n
+    errs like n^(-p), p = 2 (e - d + s) > 0, and each doubling gives the
+    Richardson value R_n = I_n + (I_n - I_(n/2)) / (2^p - 1).  It returns
+    R_n once _RATE_SAFETY times that correction, or the change from the
+    previous R, is within rel_tol/2 of R_n.  Any other series (a
+    polynomial, or entire) returns the raw I_n once two successive
+    estimates agree to rel_tol/2.
+
+    A node sum that cancels in float64, so that _ROUNDING times the
+    integrated sums of |term| exceeds rel_tol/2 of the estimate, raises
+    ``NonConvergenceError`` instead of returning rounding noise.
     """
     d = as_rational(d)
     e = as_rational(e)
@@ -259,6 +292,7 @@ def beta_integral_oracle(
         raise PreconditionError("d_not_positive", f"need d > 0, got {d}")
     if e - d <= 0:
         raise PreconditionError("ed_not_positive", f"need e-d > 0, got e-d={e - d}")
+    correction_factor = None  # 1 / (2^p - 1) when the endpoint rate is known
     if (
         inner.termination_index() is None
         and len(inner.numerator_params) == len(inner.denominator_params) + 1
@@ -269,24 +303,44 @@ def beta_integral_oracle(
                 "divergent",
                 f"integrand is not integrable at x=1: (e-d) + min(0, excess) = {endpoint}",
             )
+        # 2^-p underflows to 0.0 rather than overflowing for a large p
+        shrink = 2.0 ** -float(2 * (e - d + inner.excess()))
+        correction_factor = shrink / (1.0 - shrink)
+
+    def settled(gap: float, value: float) -> bool:
+        return gap <= 0.5 * rel_tol * max(abs(value), 1e-300)
+
     alpha = float(e - d - 1)
     beta = float(d - 1)
     scale = 0.5 ** float(e - 1)
-    estimates = []
+    estimates = []  # the raw I_n
+    values = []  # the values the stop rule compares: R_n, or I_n with no known rate
     n = 24
     while n <= _MAX_NODES:
         nodes, weights = _gauss_jacobi(n, alpha, beta)
-        xs = (1.0 + nodes) / 2.0
-        values = _series_values_on_nodes(inner, xs)
-        estimates.append(scale * float(weights @ values))
-        if len(estimates) >= 2:
-            prev, curr = estimates[-2], estimates[-1]
-            if abs(curr - prev) <= 0.5 * rel_tol * max(abs(curr), 1e-300):
-                return curr
+        sums, magnitudes = _series_values_on_nodes(inner, (1.0 + nodes) / 2.0)
+        estimates.append(scale * float(weights @ sums))
+        mass = scale * float(weights @ magnitudes)
+        if not settled(_ROUNDING * mass, estimates[-1]):
+            raise NonConvergenceError(
+                f"the series cancels in float64 at {n} nodes: terms of integrated "
+                f"magnitude {mass:.3g} sum to {estimates[-1]:.3g}",
+                best=estimates[-1],
+                history=estimates,
+            )
+        if correction_factor is None:
+            values.append(estimates[-1])
+        elif len(estimates) >= 2:
+            correction = (estimates[-1] - estimates[-2]) * correction_factor
+            values.append(estimates[-1] + correction)
+            if settled(_RATE_SAFETY * abs(correction), values[-1]):
+                return values[-1]
+        if len(values) >= 2 and settled(abs(values[-1] - values[-2]), values[-1]):
+            return values[-1]
         n *= 2
     raise NonConvergenceError(
         f"quadrature did not stabilize to {rel_tol} within {_MAX_NODES} nodes",
-        best=estimates[-1],
+        best=values[-1],
         history=estimates,
     )
 

@@ -12,6 +12,7 @@ import pytest
 from mpmath import mp, mpf
 
 from thomae.errors import NonConvergenceError, PreconditionError
+from thomae import verification
 from thomae.exact import ParamPairs
 from thomae.series import SeriesSpec, eval_numeric, gamma_ratio
 from thomae.transforms import thomae, thomae_terminating
@@ -86,6 +87,19 @@ class TestGaussJacobiRule:
                 assert abs(got / exact - 1) <= 1e-12, j
 
 
+def _record_rule_sizes(monkeypatch) -> list[int]:
+    """The size of every Gauss-Jacobi rule the oracle builds, in order."""
+    sizes = []
+    rule = verification._gauss_jacobi
+
+    def recording(n, alpha, beta):
+        sizes.append(n)
+        return rule(n, alpha, beta)
+
+    monkeypatch.setattr(verification, "_gauss_jacobi", recording)
+    return sizes
+
+
 def _peak_traced_bytes(call) -> int:
     tracemalloc.start()
     try:
@@ -112,13 +126,40 @@ class TestSeriesValuesOnNodes:
         # the float sums there are good to about 4e-13
         nodes, _ = _gauss_jacobi(384, 0.5, -0.5)
         xs = np.array([1e-3, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, (1 + nodes[-1]) / 2])
-        values = _series_values_on_nodes(SeriesSpec(nums, dens, 1), xs)
+        values, _ = _series_values_on_nodes(SeriesSpec(nums, dens, 1), xs)
         with mp.workdps(30):
             ref_nums = [mpf(a.numerator) / a.denominator for a in map(F, nums)]
             ref_dens = [mpf(b.numerator) / b.denominator for b in map(F, dens)]
             for x, value in zip(xs, values):
                 ref = mp.hyper(ref_nums, ref_dens, mpf(x))
                 assert abs(value - ref) <= 1e-12 * abs(ref), x
+
+    @pytest.mark.parametrize(
+        "nums, dens",
+        [
+            # every term positive: the magnitudes are the sums themselves
+            ([F(1, 3), F(5, 4), 2], [F(3, 2), F(31, 12)]),
+            # the signs alternate while k < 150: terms up to 1.8e21 at
+            # x = 0.5 cancel to about 0.29
+            ([-150, F(1, 3)], [F(5, 2)]),
+            # one negative ratio at k = 0, then terms of one sign
+            ([F(-1, 2), F(13, 3)], [2]),
+        ],
+    )
+    def test_magnitudes_sum_the_absolute_terms(self, nums, dens):
+        xs = np.array([0.1, 0.5, 0.9])
+        _, magnitudes = _series_values_on_nodes(SeriesSpec(nums, dens, 1), xs)
+        with mp.workdps(30):
+            ref_nums = [mpf(a.numerator) / a.denominator for a in map(F, nums)]
+            ref_dens = [mpf(b.numerator) / b.denominator for b in map(F, dens)]
+            for x, magnitude in zip(xs, magnitudes):
+                total, term, k = mpf(0), mpf(1), 0
+                while term and (k < 200 or abs(term) > 1e-20 * total):
+                    total += abs(term)
+                    term *= mpf(x) * mp.fprod(a + k for a in ref_nums)
+                    term /= (k + 1) * mp.fprod(b + k for b in ref_dens)
+                    k += 1
+                assert abs(magnitude / total - 1) <= 1e-12, x
 
     def test_divergent_node_stops_at_the_term_cap(self):
         # 2F1(1, 1; 2; x) = -log(1 - x) / x: x = 1 is the harmonic series
@@ -180,12 +221,68 @@ class TestBetaIntegralOracle:
         ref = float(gamma_ratio([d, e - d], [e])) * float(res.value)
         assert abs(val - ref) <= rel * abs(ref)
 
-    def test_memory_is_bounded(self):
-        # settles at 384 nodes; the Gauss-Jacobi matrices take about 2.3 MB
-        inner = SeriesSpec([6, F(9, 2), F(34, 5)], [13, F(24, 5)], 1)
-        peak = _peak_traced_bytes(
-            lambda: beta_integral_oracle(F(19, 6), F(17, 3), inner, rel_tol=2e-8)
+    @pytest.mark.parametrize(
+        "d, e, nums, dens, rel_tol, rule",
+        [
+            # (e - d, s) = (3, -11/6): the raw estimates fall like n^(-7/3)
+            # and do not settle to 2e-8 within 768 nodes
+            (F(1), F(4), [F(-1, 2), F(13, 3)], [2], 2e-8, 768),
+            # (e - d, s) = (3, -17/12): n^(-19/6), and not to 1e-8 raw
+            (F(1, 2), F(7, 2), [F(-7, 3), F(5, 4)], [F(-5, 2)], 1e-8, 384),
+        ],
+    )
+    def test_settles_at_the_endpoint_rate(self, monkeypatch, d, e, nums, dens, rel_tol, rule):
+        rules = _record_rule_sizes(monkeypatch)
+        val = beta_integral_oracle(d, e, SeriesSpec(nums, dens, 1), rel_tol=rel_tol)
+        assert rules[-1] == rule
+        res = eval_numeric(SeriesSpec(nums + [d], dens + [e], 1), precision=40, tol=1e-15)
+        ref = float(gamma_ratio([d, e - d], [e])) * float(res.value)
+        assert abs(val - ref) <= 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "inner, extrapolated",
+        [
+            # excess 1 with e - d = 2: p = 6
+            (SeriesSpec([F(1, 2), F(1, 2)], [2], 1), True),
+            # a polynomial and an entire series keep the raw estimates
+            (SeriesSpec([-2, F(1, 2)], [2], 1), False),
+            (SeriesSpec([F(1, 2)], [2], 1), False),
+        ],
+    )
+    def test_stop_rule_on_estimates_with_a_known_error(self, monkeypatch, inner, extrapolated):
+        # a one-node rule whose estimates are exactly I_n = 1 + C n^-6, so
+        # R_n = 1.  At n = 48 the correction is 2.0e-9: within rel_tol/2 =
+        # 5e-9, but not four times over.  At n = 96 both tests hold.
+        C = 24.5
+        rules = []
+
+        def rule(n, alpha, beta):
+            rules.append(n)
+            return np.zeros(1), np.array([4 * (1 + C * n**-6.0)])  # times 2^(1-e) = 1/4
+
+        monkeypatch.setattr(verification, "_gauss_jacobi", rule)
+        monkeypatch.setattr(
+            verification, "_series_values_on_nodes", lambda _, xs: (np.ones_like(xs),) * 2
         )
+        val = beta_integral_oracle(1, 3, inner)
+        assert rules == [24, 48, 96]
+        if extrapolated:
+            assert abs(val - 1) <= 1e-14
+        else:
+            assert val == 1 + C * 96**-6.0
+
+    def test_cancelling_series_raises(self):
+        # 2F1(-150, 1/3; 5/2; x) has terms up to 1.8e21 at x = 0.5 and sums
+        # to about 0.29 there: float64 keeps no digit of it
+        with pytest.raises(NonConvergenceError, match="cancels in float64"):
+            beta_integral_oracle(1, 3, SeriesSpec([-150, F(1, 3)], [F(5, 2)], 1))
+
+    def test_memory_is_bounded(self, monkeypatch):
+        # settles at 384 nodes; the Gauss-Jacobi matrices take about 2.3 MB
+        inner = SeriesSpec([F(-7, 3), F(5, 4)], [F(-5, 2)], 1)
+        rules = _record_rule_sizes(monkeypatch)
+        peak = _peak_traced_bytes(lambda: beta_integral_oracle(F(1, 2), F(7, 2), inner))
+        assert rules[-1] == 384
         assert peak < 4 * 2**20
 
     def test_preconditions(self):
