@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from thomae.errors import NonConvergenceError, PreconditionError
 from thomae import verification
+from thomae.errors import NonConvergenceError, PreconditionError
 from thomae.exact import ParamPairs
 from thomae.series import SeriesSpec, eval_numeric, gamma_ratio
 from thomae.transforms import thomae, thomae_terminating
@@ -97,6 +97,29 @@ def _record_rule_sizes(monkeypatch) -> list[int]:
         return rule(n, alpha, beta)
 
     monkeypatch.setattr(verification, "_gauss_jacobi", recording)
+    return sizes
+
+
+_KNOWN_ERROR = 24.5
+
+
+def _rule_with_known_error(monkeypatch) -> list[int]:
+    """Make every oracle estimate exactly I_n = 1 + C n^-6, C = _KNOWN_ERROR.
+
+    One node with the series at 1 there; the oracle scales the weight by
+    2^(1-e) = 1/4 for e = 3.  With p = 6 every Richardson value R_n is 1.
+    Returns the rule sizes the oracle asks for, in order.
+    """
+    sizes = []
+
+    def rule(n, alpha, beta):
+        sizes.append(n)
+        return np.zeros(1), np.array([4 * (1 + _KNOWN_ERROR * n**-6.0)])
+
+    monkeypatch.setattr(verification, "_gauss_jacobi", rule)
+    monkeypatch.setattr(
+        verification, "_series_values_on_nodes", lambda _, xs: (np.ones_like(xs),) * 2
+    )
     return sizes
 
 
@@ -250,26 +273,23 @@ class TestBetaIntegralOracle:
         ],
     )
     def test_stop_rule_on_estimates_with_a_known_error(self, monkeypatch, inner, extrapolated):
-        # a one-node rule whose estimates are exactly I_n = 1 + C n^-6, so
-        # R_n = 1.  At n = 48 the correction is 2.0e-9: within rel_tol/2 =
-        # 5e-9, but not four times over.  At n = 96 both tests hold.
-        C = 24.5
-        rules = []
-
-        def rule(n, alpha, beta):
-            rules.append(n)
-            return np.zeros(1), np.array([4 * (1 + C * n**-6.0)])  # times 2^(1-e) = 1/4
-
-        monkeypatch.setattr(verification, "_gauss_jacobi", rule)
-        monkeypatch.setattr(
-            verification, "_series_values_on_nodes", lambda _, xs: (np.ones_like(xs),) * 2
-        )
+        # at n = 48 the correction is 2.0e-9: within rel_tol/2 = 5e-9, but
+        # not four times over.  At n = 96 both tests hold.
+        rules = _rule_with_known_error(monkeypatch)
         val = beta_integral_oracle(1, 3, inner)
         assert rules == [24, 48, 96]
         if extrapolated:
             assert abs(val - 1) <= 1e-14
         else:
-            assert val == 1 + C * 96**-6.0
+            assert val == 1 + _KNOWN_ERROR * 96**-6.0
+
+    def test_nonconvergence_keeps_the_raw_estimates(self, monkeypatch):
+        _rule_with_known_error(monkeypatch)
+        monkeypatch.setattr(verification, "_MAX_NODES", 48)
+        with pytest.raises(NonConvergenceError) as err:
+            beta_integral_oracle(1, 3, SeriesSpec([F(1, 2), F(1, 2)], [2], 1))
+        assert err.value.history == tuple(1 + _KNOWN_ERROR * n**-6.0 for n in (24, 48))
+        assert abs(err.value.best - 1) <= 1e-14
 
     def test_cancelling_series_raises(self):
         # 2F1(-150, 1/3; 5/2; x) has terms up to 1.8e21 at x = 0.5 and sums
