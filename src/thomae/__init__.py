@@ -9,7 +9,7 @@ when terminating, with controlled error bounds otherwise), and verifies
 every identity against independent oracles.
 """
 
-from .errors import NonConvergenceError, PreconditionError, ThomaeError
+from .errors import ConditionCheck, NonConvergenceError, PreconditionError, ThomaeError
 from .exact import (
     ParamPairs,
     as_rational,
@@ -39,7 +39,6 @@ from .series import (
     parametric_excess,
 )
 from .transforms import (
-    ConditionCheck,
     GammaRatioPrefactor,
     PochhammerRatioPrefactor,
     PowerOfOneMinusX,

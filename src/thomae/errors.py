@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 
 class ThomaeError(Exception):
     """Base class for all package-specific errors."""
@@ -32,3 +34,30 @@ class NonConvergenceError(ThomaeError, RuntimeError):
         super().__init__(message)
         self.best = best
         self.history = tuple(history) if history is not None else ()
+
+
+@dataclass(frozen=True)
+class ConditionCheck:
+    """One named admissibility condition together with its outcome."""
+
+    name: str
+    satisfied: bool
+    detail: str
+
+
+def enforce(conditions: list[ConditionCheck]) -> tuple[ConditionCheck, ...]:
+    """The conditions, all satisfied, or a PreconditionError naming the first
+    failure and listing every failed condition with its detail."""
+    failed = [c for c in conditions if not c.satisfied]
+    if failed:
+        summary = "; ".join(f"{c.name}: {c.detail}" for c in failed)
+        raise PreconditionError(failed[0].name, summary)
+    return tuple(conditions)
+
+
+def positive_tolerance(tol, name: str = "tol") -> float:
+    """``tol`` as a float, or invalid_input unless it is positive (nan is not)."""
+    tol = float(tol)
+    if not tol > 0:
+        raise PreconditionError("invalid_input", f"{name} must be positive, got {tol!r}")
+    return tol

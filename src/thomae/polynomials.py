@@ -19,7 +19,9 @@ from typing import Iterable, Sequence
 
 from mpmath import mp
 
-from .errors import NonConvergenceError, PreconditionError
+from .errors import (
+    ConditionCheck, NonConvergenceError, PreconditionError, enforce, positive_tolerance,
+)
 from .exact import (
     ParamPairs, RationalLike, _c_numerators, _rising_numerators, _rising_product, as_rational,
     pochhammer_vanishes,
@@ -176,14 +178,36 @@ def build_G(m: int, k: int, a: RationalLike, b: RationalLike, c: RationalLike) -
     a, b, c = as_rational(a), as_rational(b), as_rational(c)
     den1 = c - a - m + k
     den2 = c - b - m + k
-    for i in range(m - k):
-        if den1 + i == 0 or den2 + i == 0:
-            raise PreconditionError(
-                "degenerate_g_denominator",
-                f"denominator factor vanishes at step {i}: "
-                f"(c-a-m+k)={den1}, (c-b-m+k)={den2}",
-            )
+    if any(pochhammer_vanishes(den, m - k) for den in (den1, den2)):
+        raise PreconditionError(
+            "degenerate_g_denominator",
+            f"a denominator factor vanishes: (c-a-m+k)={den1}, (c-b-m+k)={den2}, m-k={m - k}",
+        )
     return _rising_sum(*_rising_scalars(([1], 1), m - k, 1, [], [c - a - b - m], [den1, den2]), k)
+
+
+def _shifted_pochhammer(letter: str, c: Fraction, p: Fraction, m: int) -> ConditionCheck:
+    """(c-p-m)_m != 0 for the numerator parameter p named ``letter``."""
+    return ConditionCheck(
+        f"c{letter}m_pochhammer_zero",
+        not pochhammer_vanishes(c - p - m, m),
+        f"(c-{letter}-m)_m must be nonzero, c-{letter}-m={c - p - m}",
+    )
+
+
+def q_conditions(pp: ParamPairs, b: Fraction, c: Fraction) -> list[ConditionCheck]:
+    """When Q is defined: b differs from every base parameter f, and (c-b-m)_m != 0."""
+    return [
+        *(ConditionCheck("b_equals_f", b != f, f"b={b} must differ from base parameter {f}")
+          for f, _ in pp.pairs),
+        _shifted_pochhammer("b", c, b, pp.total_shift),
+    ]
+
+
+def qhat_conditions(pp: ParamPairs, a: Fraction, b: Fraction, c: Fraction) -> list[ConditionCheck]:
+    """When Q^ is defined: (c-a-m)_m != 0 and (c-b-m)_m != 0."""
+    m = pp.total_shift
+    return [_shifted_pochhammer("a", c, a, m), _shifted_pochhammer("b", c, b, m)]
 
 
 def build_Q(pp: ParamPairs, b: RationalLike, c: RationalLike) -> RationalPolynomial:
@@ -205,18 +229,9 @@ def build_Q(pp: ParamPairs, b: RationalLike, c: RationalLike) -> RationalPolynom
     L + j (j < m).
     """
     b, c = as_rational(b), as_rational(c)
+    enforce(q_conditions(pp, b, c))
     m = pp.total_shift
-    for f, _ in pp.pairs:
-        if b == f:
-            raise PreconditionError(
-                "b_equals_f", f"parameter b={b} coincides with base parameter f={f}"
-            )
-    lam = c - b - m
-    if pochhammer_vanishes(lam, m):
-        raise PreconditionError(
-            "cbm_pochhammer_zero", f"(c-b-m)_m vanishes for c-b-m={lam}, m={m}"
-        )
-    return _rising_sum(*_rising_scalars(_c_numerators(pp), m, 1, [b], [], [lam]))
+    return _rising_sum(*_rising_scalars(_c_numerators(pp), m, 1, [b], [], [c - b - m]))
 
 
 def build_Qhat(
@@ -233,19 +248,12 @@ def build_Qhat(
               / ((c-a-m)_j (c-b-m)_j),
     formed over one integer denominator as in :func:`build_Q`.
     build_G's degenerate_g_denominator cannot fire here: G_{m,k} divides
-    only by c-a-m+j and c-b-m+j with j < m, which the cam and cbm checks
-    below rule out.
+    only by c-a-m+j and c-b-m+j with j < m, which ``qhat_conditions``
+    rules out.
     """
     a, b, c = as_rational(a), as_rational(b), as_rational(c)
+    enforce(qhat_conditions(pp, a, b, c))
     m = pp.total_shift
-    if pochhammer_vanishes(c - a - m, m):
-        raise PreconditionError(
-            "cam_pochhammer_zero", f"(c-a-m)_m vanishes for c-a-m={c - a - m}, m={m}"
-        )
-    if pochhammer_vanishes(c - b - m, m):
-        raise PreconditionError(
-            "cbm_pochhammer_zero", f"(c-b-m)_m vanishes for c-b-m={c - b - m}, m={m}"
-        )
     return _rising_sum(*_rising_scalars(
         _c_numerators(pp), m, -1, [a, b], [c - a - b - m], [c - a - m, c - b - m]
     ))
@@ -293,7 +301,7 @@ def _polish(p: RationalPolynomial, zs: list[complex], misses: list[int]) -> None
 def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
     """All complex zeros of ``p`` as eigenvalues of its companion matrix.
 
-    Requires degree >= 1 and p(0) != 0.  The coefficients are divided by a
+    Requires degree >= 1, p(0) != 0 and tol > 0.  The coefficients are divided by a
     power of two taken from the largest before they become floats, so none
     overflows and both residual sums stay finite; the leading and constant
     coefficients must not underflow to 0.0 at that scale.  The zeros come
@@ -307,6 +315,7 @@ def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
     """
     import numpy as np  # only zero finding and the oracle need numpy
 
+    positive_tolerance(tol)
     if p.is_zero() or p.degree < 1:
         raise PreconditionError("degenerate_polynomial", "need degree >= 1")
     if p.coefficients[0] == 0:

@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 from mpmath import mp, mpf
 
-from .errors import PreconditionError
+from .errors import PreconditionError, positive_tolerance
 from .exact import RationalLike, as_rational, nonpositive_integer, term_ratios
 from .polynomials import RationalPolynomial
 
@@ -181,8 +181,11 @@ class EvalResult:
     value: object
     abs_error_bound: object
     terms_used: int
-    terminated_exactly: bool
     exact_value: Optional[Fraction] = None
+
+    @property
+    def terminated_exactly(self) -> bool:
+        return self.exact_value is not None
 
 
 def eval_terminating(spec: AnySeries) -> Fraction:
@@ -379,7 +382,7 @@ def _fixed_point_pass(
     extra = 0
     if not met and 2 * rounding > target:
         extra = int(math.log10(rounding) - bits * math.log10(2) - math.log10(tol)) + 2
-    return EvalResult(value, bound, k, False), extra
+    return EvalResult(value, bound, k), extra
 
 
 def _sum_inside_disk(spec: AnySeries, precision: int, tol: float, max_terms: int) -> EvalResult:
@@ -471,7 +474,7 @@ def _sum_unit_argument(
         tol = mpf(tol)
         source = (kernel * w for kernel, w in _kernel_and_weight(spec))
         if max_terms < start:
-            return EvalResult(+mp.fsum(islice(source, max_terms + 1)), mp.inf, max_terms + 1, False)
+            return EvalResult(+mp.fsum(islice(source, max_terms + 1)), mp.inf, max_terms + 1)
         budget = start
         best: Optional[EvalResult] = None
         terms = []
@@ -486,7 +489,7 @@ def _sum_unit_argument(
             value = partial + tail
             floor = abs(value) * mpf(10) ** (-precision)
             bound = stability + floor
-            result = EvalResult(+value, +bound, budget + 1, False)
+            result = EvalResult(+value, +bound, budget + 1)
             if best is None or bound < best.abs_error_bound:
                 best = result
             target = tol * max(mpf(1), abs(value))
@@ -513,7 +516,7 @@ def _levin_unit_argument(spec: AnySeries, precision: int, count: int) -> EvalRes
         short = mp.levin(method="levin", variant="u")
         value_short, _ = short.update_psum(partials[: count - 12])
         bound = 4 * abs(value - value_short) + abs(value) * mpf(10) ** (-precision)
-        return EvalResult(+value, +bound, count, False)
+        return EvalResult(+value, +bound, count)
 
 
 def eval_numeric(
@@ -537,9 +540,7 @@ def eval_numeric(
     sequence acceleration (off by default; used for cross-checks).  Any
     other acceleration, or a tol that is not positive, is invalid_input.
     """
-    tol = float(tol)
-    if not tol > 0:  # also rejects nan
-        raise PreconditionError("invalid_input", f"tol must be positive, got {tol!r}")
+    tol = positive_tolerance(tol)
     if acceleration not in (None, "levin"):
         raise PreconditionError("invalid_input", f"unknown acceleration {acceleration!r}")
     n = spec.termination_index()
@@ -548,7 +549,7 @@ def eval_numeric(
         with mp.workdps(precision + 10):
             value = mpf(exact.numerator) / exact.denominator
             bound = abs(value) * mpf(10) ** (-precision) + mpf(10) ** (-precision - 30)
-            return EvalResult(+value, +bound, n + 1, True, exact)
+            return EvalResult(+value, +bound, n + 1, exact)
     x = spec.argument
     if abs(x) < 1:
         if x != 0 and len(spec.kernel_numerators) > len(spec.kernel_denominators) + 1:
@@ -566,7 +567,7 @@ def eval_numeric(
                 "denominator parameter",
             )
         if acceleration == "levin":
-            return _levin_unit_argument(spec, precision, min(max_terms, 400))
+            return _levin_unit_argument(spec, precision, max_terms)
         return _sum_unit_argument(spec, precision, tol, max_terms)
     raise PreconditionError(
         "argument_out_of_range",

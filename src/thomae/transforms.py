@@ -15,11 +15,11 @@ from typing import Union
 
 from mpmath import mp, mpf
 
-from .errors import PreconditionError
+from .errors import ConditionCheck, PreconditionError, enforce
 from .exact import (
     ParamPairs, RationalLike, as_rational, nonpositive_integer, pochhammer, pochhammer_vanishes,
 )
-from .polynomials import RationalPolynomial, build_Q, build_Qhat
+from .polynomials import RationalPolynomial, build_Q, build_Qhat, q_conditions, qhat_conditions
 from .series import SeriesSpec, WeightedSeriesSpec, gamma_ratio, parametric_excess
 
 
@@ -64,11 +64,7 @@ class PochhammerRatioPrefactor:
     count: int
 
     def exact(self) -> Fraction:
-        if pochhammer_vanishes(self.bottom, self.count):
-            raise PreconditionError(
-                "en_pochhammer_zero",
-                f"({self.bottom})_{self.count} vanishes in the prefactor",
-            )
+        enforce([_en_nonzero(self.bottom, self.count)])
         return pochhammer(self.top, self.count) / pochhammer(self.bottom, self.count)
 
     def numeric(self, precision: int = 50):
@@ -84,15 +80,6 @@ PrefactorDescriptor = Union[PowerOfOneMinusX, GammaRatioPrefactor, PochhammerRat
 
 
 @dataclass(frozen=True)
-class ConditionCheck:
-    """One named admissibility condition together with its outcome."""
-
-    name: str
-    satisfied: bool
-    detail: str
-
-
-@dataclass(frozen=True)
 class TransformResult:
     """A validated identity: source series == prefactor * target series."""
 
@@ -100,8 +87,12 @@ class TransformResult:
     prefactor: PrefactorDescriptor
     target: WeightedSeriesSpec
     source: SeriesSpec
-    polynomial: RationalPolynomial
     conditions: tuple[ConditionCheck, ...]
+
+    @property
+    def polynomial(self) -> RationalPolynomial:
+        """The weight polynomial of the target series."""
+        return self.target.weight
 
     def prefactor_value(self, precision: int = 50):
         """Numeric prefactor at the working precision."""
@@ -116,28 +107,18 @@ class TransformResult:
         )
 
 
-def _b_differs_from_f(b: Fraction, pp: ParamPairs) -> list[ConditionCheck]:
-    return [
-        ConditionCheck("b_equals_f", b != f, f"b={b} must differ from base parameter {f}")
-        for f, _ in pp.pairs
-    ]
-
-
-def _shifted_pochhammer(letter: str, c: Fraction, p: Fraction, m: int) -> ConditionCheck:
-    """(c-p-m)_m != 0 for the numerator parameter p named ``letter``."""
-    return ConditionCheck(
-        f"c{letter}m_pochhammer_zero",
-        not pochhammer_vanishes(c - p - m, m),
-        f"(c-{letter}-m)_m must be nonzero, c-{letter}-m={c - p - m}",
-    )
-
-
 def _argument_below_one(x: Fraction) -> ConditionCheck:
     return ConditionCheck("argument_out_of_range", x < 1, f"need x < 1, got {x}")
 
 
 def _ed_positive(d: Fraction, e: Fraction) -> ConditionCheck:
     return ConditionCheck("ed_not_positive", e - d > 0, f"need e-d > 0, got {e - d}")
+
+
+def _en_nonzero(e: Fraction, n: int) -> ConditionCheck:
+    return ConditionCheck(
+        "en_pochhammer_zero", not pochhammer_vanishes(e, n), f"(e)_n must be nonzero, e={e}, n={n}"
+    )
 
 
 def _c_regular(c: Fraction) -> ConditionCheck:
@@ -154,14 +135,6 @@ def _gamma_regular(name: str, value: Fraction) -> ConditionCheck:
         "gamma_pole", nonpositive_integer(value) is None,
         f"gamma argument {name}={value} is a nonpositive integer",
     )
-
-
-def _enforce(conditions: list[ConditionCheck]) -> tuple[ConditionCheck, ...]:
-    failed = [c for c in conditions if not c.satisfied]
-    if failed:
-        summary = "; ".join(f"{c.name}: {c.detail}" for c in failed)
-        raise PreconditionError(failed[0].name, summary)
-    return tuple(conditions)
 
 
 def _source(nums: tuple, dens: tuple, pp: ParamPairs, x: Fraction) -> SeriesSpec:
@@ -183,16 +156,11 @@ def euler1(
     """
     a, b, c, x = map(as_rational, (a, b, c, x))
     m = pp.total_shift
-    conditions = _enforce([
-        *_b_differs_from_f(b, pp),
-        _shifted_pochhammer("b", c, b, m),
-        _argument_below_one(x),
-        _c_regular(c),
-    ])
+    conditions = enforce([*q_conditions(pp, b, c), _argument_below_one(x), _c_regular(c)])
     weight = build_Q(pp, b, c)
     source = _source((a, b), (c,), pp, x)
     target = WeightedSeriesSpec((a, c - b - m), (c,), weight, x / (x - 1))
-    return TransformResult("euler1", PowerOfOneMinusX(-a), target, source, weight, conditions)
+    return TransformResult("euler1", PowerOfOneMinusX(-a), target, source, conditions)
 
 
 def euler2(
@@ -205,18 +173,11 @@ def euler2(
     """Argument-preserving transformation with prefactor (1-x)^(c-a-b-m)."""
     a, b, c, x = map(as_rational, (a, b, c, x))
     m = pp.total_shift
-    conditions = _enforce([
-        _shifted_pochhammer("a", c, a, m),
-        _shifted_pochhammer("b", c, b, m),
-        _argument_below_one(x),
-        _c_regular(c),
-    ])
+    conditions = enforce([*qhat_conditions(pp, a, b, c), _argument_below_one(x), _c_regular(c)])
     weight = build_Qhat(pp, a, b, c)
     source = _source((a, b), (c,), pp, x)
     target = WeightedSeriesSpec((c - a - m, c - b - m), (c,), weight, x)
-    return TransformResult(
-        "euler2", PowerOfOneMinusX(c - a - b - m), target, source, weight, conditions
-    )
+    return TransformResult("euler2", PowerOfOneMinusX(c - a - b - m), target, source, conditions)
 
 
 def thomae(
@@ -235,9 +196,8 @@ def thomae(
     a, b, d, c, e = map(as_rational, (a, b, d, c, e))
     m = pp.total_shift
     s = parametric_excess(a, b, c, d, e, m)
-    conditions = _enforce([
-        _shifted_pochhammer("a", c, a, m),
-        _shifted_pochhammer("b", c, b, m),
+    conditions = enforce([
+        *qhat_conditions(pp, a, b, c),
         _ed_positive(d, e),
         ConditionCheck("excess_not_positive", s > 0, f"need excess > 0, got s={s}"),
         _c_regular(c),
@@ -248,7 +208,7 @@ def thomae(
     source = _source((a, b, d), (c, e), pp, Fraction(1))
     target = WeightedSeriesSpec((c - a - m, c - b - m, d), (c, s + d), weight, Fraction(1))
     prefactor = GammaRatioPrefactor((e, s), (e - d, s + d))
-    return TransformResult("thomae", prefactor, target, source, weight, conditions)
+    return TransformResult("thomae", prefactor, target, source, conditions)
 
 
 def thomae_terminating(
@@ -264,23 +224,14 @@ def thomae_terminating(
         raise PreconditionError("invalid_terminating_index", f"need n >= 0, got {n}")
     b, d, c, e = map(as_rational, (b, d, c, e))
     m = pp.total_shift
-    conditions = _enforce([
-        *_b_differs_from_f(b, pp),
-        _shifted_pochhammer("b", c, b, m),
-        _ed_positive(d, e),
-        ConditionCheck(
-            "en_pochhammer_zero",
-            not pochhammer_vanishes(e, n),
-            f"(e)_n must be nonzero, e={e}, n={n}",
-        ),
-    ])
+    conditions = enforce([*q_conditions(pp, b, c), _ed_positive(d, e), _en_nonzero(e, n)])
     weight = build_Q(pp, b, c)
     source = _source((Fraction(-n), b, d), (c, e), pp, Fraction(1))
     target = WeightedSeriesSpec(
         (Fraction(-n), c - b - m, d), (c, 1 - e + d - n), weight, Fraction(1)
     )
     prefactor = PochhammerRatioPrefactor(e - d, e, n)
-    return TransformResult("thomae_terminating", prefactor, target, source, weight, conditions)
+    return TransformResult("thomae_terminating", prefactor, target, source, conditions)
 
 
 def contract_pairs(target: WeightedSeriesSpec) -> WeightedSeriesSpec:

@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from thomae.errors import PreconditionError
 from thomae.exact import ParamPairs, pochhammer
-from thomae.polynomials import RationalPolynomial
+from thomae.polynomials import RationalPolynomial, build_Q, build_Qhat
 from thomae.series import SeriesSpec, WeightedSeriesSpec, eval_numeric, eval_terminating
 from thomae.transforms import (
     GammaRatioPrefactor,
@@ -262,3 +264,38 @@ class TestNamedPreconditions:
         assert {"cam_pochhammer_zero", "cbm_pochhammer_zero", "ed_not_positive",
                 "excess_not_positive"} <= names
         assert all(c.satisfied for c in t.conditions)
+
+
+_params = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+_regular = _params.filter(lambda v: v > 0 or v.denominator > 1)  # no nonpositive integer
+
+
+@st.composite
+def _weight_inputs(draw):
+    """Pairs and (a, b, c), c regular; a and b are often a base parameter f or
+    a value that makes (c-a-m)_m or (c-b-m)_m vanish."""
+    pp = ParamPairs(draw(st.lists(st.tuples(_regular, st.integers(1, 3)), max_size=2)))
+    m = pp.total_shift
+    c = draw(_regular)
+    special = [c - m + j for j in range(m)] + [f for f, _ in pp.pairs]
+    values = st.one_of(_params, st.sampled_from(special)) if special else _params
+    return pp, draw(values), draw(values), c
+
+
+def _outcome(build):
+    try:
+        build()
+    except PreconditionError as err:
+        return err.condition, str(err)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weight_inputs())
+def test_weights_reject_exactly_as_the_euler_transforms(inputs):
+    # at x = 1/2 with c regular, euler1 and euler2 can only fail on the
+    # conditions of Q and Q^, so each must fail as its weight does
+    pp, a, b, c = inputs
+    x = F(1, 2)
+    assert _outcome(lambda: build_Q(pp, b, c)) == _outcome(lambda: euler1(a, b, c, pp, x))
+    assert _outcome(lambda: build_Qhat(pp, a, b, c)) == _outcome(lambda: euler2(a, b, c, pp, x))
