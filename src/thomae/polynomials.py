@@ -298,20 +298,56 @@ def _polish(p: RationalPolynomial, zs: list[complex], misses: list[int]) -> None
                 zs[i] = complex(z)
 
 
+def _log2(c: Fraction) -> int:
+    """log2 |c| to within one, from the bit lengths (c != 0)."""
+    return c.numerator.bit_length() - c.denominator.bit_length()
+
+
+def _float_coefficients(p: RationalPolynomial, e: int) -> list[float]:
+    """The coefficients c_i 2^(e i) of p(2^e u) in u, ascending, as floats.
+
+    All are divided by one power of two taken from the largest, in one
+    correctly rounded integer division each: the largest lands below 2 in
+    magnitude, none overflows, and a tiny one may underflow to 0.0.
+    """
+    scaled = [
+        (c.numerator << max(e * i, 0), c.denominator << max(-e * i, 0))
+        for i, c in enumerate(p.coefficients)
+    ]
+    shift = max(n.bit_length() - d.bit_length() for n, d in scaled)
+    up, down = max(-shift, 0), max(shift, 0)
+    return [(n << up) / (d << down) for n, d in scaled]
+
+
+# The largest |e| of the substitution t = 2^e u in find_zeros: half the float
+# exponent range, far above what the weights built here need (e = 6 at m =
+# 192).  Polynomials whose zeros lie nearer the float limits stay degenerate.
+MAX_SCALE_EXPONENT = 511
+
+
 def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
     """All complex zeros of ``p`` as eigenvalues of its companion matrix.
 
-    Requires degree >= 1, p(0) != 0 and tol > 0.  The coefficients are divided by a
-    power of two taken from the largest before they become floats, so none
-    overflows and both residual sums stay finite; the leading and constant
-    coefficients must not underflow to 0.0 at that scale.  The zeros come
-    from ``numpy.roots`` on the float coefficients, which is backward stable in
-    them (Edelman and Murakami, Math. Comp. 1995).  Each zero whose relative
-    residual exceeds ``tol`` is then polished (``_polish``); a set in which
-    every zero already meets ``tol`` is returned as numpy gave it.  If a
-    residual still exceeds ``tol`` a NonConvergenceError carrying the zeros
-    is raised.  For |z| > 1 the residual is the same ratio divided by |z|^n,
-    on the reversed coefficients at 1/z, so no power of |z| overflows.
+    Requires degree >= 1, p(0) != 0 and tol > 0.  The coefficients are
+    divided by a power of two taken from the largest before they become
+    floats, so none overflows and both residual sums stay finite.  When the
+    leading or the constant coefficient underflows to 0.0 at that scale, the
+    zeros are sought in u = t / 2^e instead, with e = log2 |c_0 / c_n| / n
+    rounded, which brings the leading and constant coefficients of p(2^e u)
+    to the same size.  If one still underflows, or |e| exceeds
+    MAX_SCALE_EXPONENT, p is rejected.  Every polynomial whose coefficients
+    fit at e = 0 keeps e = 0.
+
+    The zeros come from ``numpy.roots`` on the float coefficients in u,
+    which is backward stable in them (Edelman and Murakami, Math. Comp.
+    1995), and are reported as z = 2^e u.  The relative residual of z is the
+    same ratio taken in u.  Each zero whose relative residual exceeds
+    ``tol`` is then polished (``_polish``, on the exact coefficients in t);
+    a set in which every zero already meets ``tol`` is returned as numpy
+    gave it.  If a residual still exceeds ``tol`` a NonConvergenceError
+    carrying the zeros is raised.  For |u| > 1 the residual is the same
+    ratio divided by |u|^n, on the reversed coefficients at 1/u, so no power
+    of |u| overflows.
     """
     import numpy as np  # only zero finding and the oracle need numpy
 
@@ -320,26 +356,28 @@ def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
         raise PreconditionError("degenerate_polynomial", "need degree >= 1")
     if p.coefficients[0] == 0:
         raise PreconditionError("degenerate_polynomial", "polynomial vanishes at 0")
-    # c / 2^shift in one correctly rounded integer division: float(c) / 2^shift
-    # whenever that is normal, and below 2 in magnitude
-    shift = max(c.numerator.bit_length() - c.denominator.bit_length() for c in p.coefficients)
-    up, down = max(-shift, 0), max(shift, 0)
-    coeffs = [(c.numerator << up) / (c.denominator << down) for c in p.coefficients]
+    e = 0
+    coeffs = _float_coefficients(p, e)
+    if coeffs[0] == 0 or coeffs[-1] == 0:
+        e = round((_log2(p.coefficients[0]) - _log2(p.coefficients[-1])) / p.degree)
+        if abs(e) <= MAX_SCALE_EXPONENT:
+            coeffs = _float_coefficients(p, e)
     if coeffs[0] == 0 or coeffs[-1] == 0:
         raise PreconditionError(
             "degenerate_polynomial", "the leading or constant coefficient underflows to 0.0"
         )
+    scale = 2.0**e
 
     def relative_residual(z: complex) -> float:
-        cs = coeffs
-        if abs(z) > 1:  # the same ratio divided by |z|^n: reversed coefficients at 1/z
-            cs, z = coeffs[::-1], 1 / z
+        cs, u = coeffs, z / scale  # p(t) and sum |c_i| |t|^i equal their forms in u
+        if abs(u) > 1:  # the same ratio divided by |u|^n: reversed coefficients at 1/u
+            cs, u = coeffs[::-1], 1 / u
         val = 0j
         for c in reversed(cs):
-            val = val * z + c
-        return abs(val) / sum(abs(c) * abs(z) ** i for i, c in enumerate(cs))
+            val = val * u + c
+        return abs(val) / sum(abs(c) * abs(u) ** i for i, c in enumerate(cs))
 
-    zs = [complex(z) for z in np.roots(coeffs[::-1])]
+    zs = [complex(u.real * scale, u.imag * scale) for u in np.roots(coeffs[::-1])]
     misses = [i for i, z in enumerate(zs) if relative_residual(z) > tol]
     if misses:
         _polish(p, zs, misses)

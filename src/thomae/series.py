@@ -20,7 +20,8 @@ tracked as integers beside them, so the rounding part of the bound is
 proven, not estimated, and summing stops once tail plus rounding meets
 the request.  The tail bound uses only the parameters and the absolute
 values of the weight's coefficients, never a bound on the weight's zeros,
-so a weight with a tiny leading coefficient does not delay it.  At unit
+so a weight with a tiny leading coefficient does not delay it; the
+unit-argument start budget likewise reads the parameters alone.  At unit
 argument the term list is extended, not rebuilt, when the term budget
 doubles, and each budget's Hurwitz zeta values are computed once and
 shared by the tail fit and its lower-order check.
@@ -204,21 +205,6 @@ def _max_param_magnitude(spec: AnySeries) -> float:
     vals = [abs(float(a)) for a in spec.kernel_numerators]
     vals += [abs(float(b)) for b in spec.kernel_denominators]
     return max(vals, default=0.0)
-
-
-def _weight_zero_radius(weight: Optional[RationalPolynomial]) -> float:
-    """Fujiwara bound on the moduli of the weight's zeros (0 for constants)."""
-    if weight is None or weight.degree < 1:
-        return 0.0
-    deg = weight.degree
-    lead = weight.coefficients[-1]
-    bound = 0.0
-    for i, c in enumerate(weight.coefficients[:-1]):
-        ratio = abs(float(c / lead))
-        if i == 0:
-            ratio /= 2.0
-        bound = max(bound, ratio ** (1.0 / (deg - i)))
-    return 2.0 * bound
 
 
 def _weights(spec: AnySeries) -> tuple[int, Iterator[int]]:
@@ -456,19 +442,21 @@ def _sum_unit_argument(
     with Hurwitz zeta values; the bound is four times the change when the
     fit drops three orders, plus the working-precision floor.
 
-    The term budget starts at max(128, 8 max|param| + 16) and doubles until
-    the bound meets ``tol``; below that start no fit is made, and the sum of
-    max_terms + 1 terms comes with an infinite bound.  One term list is
-    extended across the doublings, and each budget's zeta values are
-    computed once and shared by the tail fit and its lower-order check.
+    The term budget starts at max(128, 8 max|param| + 16), from the kernel
+    parameters alone: it reads no bound on the weight's zeros.  A budget
+    too small for the weight shows in the fit's lower-order check, and the
+    budget doubles until the bound meets ``tol``; below that start no fit
+    is made, and the sum of max_terms + 1 terms comes with an infinite
+    bound.  One term list is extended across the doublings, and each
+    budget's zeta values are computed once and shared by the tail fit and
+    its lower-order check.
     """
     s = spec.excess()
     if s <= 0:
         raise PreconditionError(
             "divergent", f"unit-argument series needs positive excess, got {s}"
         )
-    big = _max_param_magnitude(spec) + _weight_zero_radius(spec.weight)
-    start = max(128, int(8 * big) + 16)
+    start = max(128, int(8 * _max_param_magnitude(spec)) + 16)
     with mp.workdps(precision + 25):
         s_mp = mpf(s.numerator) / s.denominator
         tol = mpf(tol)

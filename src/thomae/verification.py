@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -96,9 +97,9 @@ def verify_transform(
         inner_tol = tol / 8
         pref = transform.prefactor_value(precision)
         lhs_res = eval_numeric(transform.source, precision, inner_tol, budget)
-        rhs_res = eval_numeric(
-            transform.target, precision, inner_tol / max(1.0, abs(float(pref))), budget
-        )
+        # a prefactor beyond float range would give 0.0, which is no tolerance
+        target_tol = max(inner_tol / max(1.0, abs(float(pref))), sys.float_info.min)
+        rhs_res = eval_numeric(transform.target, precision, target_tol, budget)
         lhs = lhs_res.value
         rhs = pref * rhs_res.value
         # prefactor itself is accurate to working precision

@@ -221,6 +221,21 @@ class TestVerifyCommand:
         assert ": pass " in result.stdout
         assert "1/1 passed" in result.stdout
 
+    def test_m_192_case(self, capsys):
+        # total shift 192: the transform lists all weight zeros, and verify
+        # passes without the start budget reading them
+        case = {
+            "kind": "thomae", "a": "1/4", "b": "5/3", "d": "1", "c": "3/2", "e": "196",
+            "pairs": [["1/3", 96], ["2/7", 96]],
+        }
+        assert cli.main(["transform", "--config", json.dumps(case), "--json"]) == 0
+        zeros = json.loads(capsys.readouterr().out)["outputs"]["weight_zeros"]
+        assert len(zeros) == 192
+        assert all(float(z["residual"]) <= 1e-13 for z in zeros)
+        assert cli.main(["verify", "--case", json.dumps(case)]) == 0
+        out = capsys.readouterr().out
+        assert ": pass " in out and "1/1 passed" in out
+
     @pytest.mark.parametrize("strict, code", [(False, 0), (True, 1)])
     def test_inconclusive_exit_code(self, strict, code, capsys):
         case = {

@@ -16,6 +16,7 @@ from thomae.errors import PreconditionError
 from thomae.exact import (
     ParamPairs,
     _rising_numerators,
+    as_rational,
     c_coefficients,
     c_via_terminating_series,
     falling_factorial,
@@ -31,6 +32,12 @@ from thomae.exact import (
 nonzero_fractions = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=8
 ).filter(lambda f: f != 0)
+
+
+def test_as_rational_rejects_floats():
+    assert as_rational("-7/3") == Fraction(-7, 3) and as_rational(4) == 4
+    with pytest.raises(TypeError):
+        as_rational(0.5)
 
 
 class TestPochhammer:

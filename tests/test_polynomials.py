@@ -14,6 +14,7 @@ from thomae.errors import NonConvergenceError, PreconditionError
 from thomae.exact import ParamPairs, c_coefficients, pochhammer
 from thomae.polynomials import (
     RationalPolynomial,
+    _float_coefficients,
     _polish,
     build_G,
     build_Q,
@@ -55,6 +56,12 @@ class TestRationalPolynomial:
         assert q.coefficients == (F(3), F(1))
         with pytest.raises(ValueError):
             p.divide_by_root(F(7))
+
+    def test_constant_and_zero_polynomials(self):
+        with pytest.raises(ValueError):
+            RationalPolynomial([3]).divide_by_root(1)
+        assert str(RationalPolynomial()) == "0"
+        assert str(RationalPolynomial([F(1, 2), 0, -3])) == "1/2 - 3*t^2"
 
     def test_factor_builders(self):
         assert rising_factorial_poly(0, 2).coefficients == (F(0), F(1), F(1))
@@ -273,6 +280,24 @@ class TestFindZeros:
         assert q.degree == m
         assert len(zs.zeros) == m
         assert zs.converged and all(r <= 1e-13 for r in zs.residuals)
+
+    @pytest.mark.parametrize("kind", ["q", "qhat"])
+    def test_rescaled_zeros_at_m_192(self, kind):
+        # the leading coefficient is below 2^-1074 of the largest, so the
+        # zeros are sought in u = t / 2^e; each residual is checked again at
+        # 60 digits on the exact coefficients
+        pp = ParamPairs([(F(1, 3), 96), (F(2, 7), 96)])
+        q = build_Q(pp, B, C) if kind == "q" else build_Qhat(pp, A, B, C)
+        assert _float_coefficients(q, 0)[-1] == 0
+        zs = find_zeros(q)
+        assert len(zs.zeros) == 192
+        assert zs.converged and all(r <= 1e-13 for r in zs.residuals)
+        with mpmath.workdps(60):
+            cs = [mpmath.mpf(c.numerator) / c.denominator for c in q.coefficients]
+            for z, r in zip(zs.zeros[::16], zs.residuals[::16]):
+                z = mpmath.mpc(z)
+                exact = abs(mpmath.polyval(cs[::-1], z)) / sum(abs(c) * abs(z) ** i for i, c in enumerate(cs))
+                assert exact <= 1e-13 and abs(r - exact) <= 1e-15
 
     def test_polish_never_merges_zeros(self):
         # (t-1)(t-2)(t-3) with the third zero started at 1.6: Newton runs to

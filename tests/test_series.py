@@ -16,7 +16,7 @@ from mpmath import mp, mpf
 
 from thomae.errors import PreconditionError
 from thomae.exact import ParamPairs, pochhammer, pochhammer_product
-from thomae.polynomials import RationalPolynomial, build_Q
+from thomae.polynomials import RationalPolynomial, build_Q, find_zeros
 from thomae.series import (
     EvalResult,
     SeriesSpec,
@@ -24,7 +24,6 @@ from thomae.series import (
     _disk_tail_bound,
     _fixed_point_pass,
     _kernel_and_weight,
-    _weight_zero_radius,
     eval_numeric,
     eval_terminating,
     gamma_ratio,
@@ -200,7 +199,7 @@ class TestEvalNumeric:
         # about 8300 (the true zero moduli are 8.4, 47.7 and 4089), which once
         # kept the tail bound infinite for 40 000 terms
         target = _FOUND.target
-        assert _weight_zero_radius(target.weight) > 8000
+        assert max(abs(z) for z in find_zeros(target.weight).zeros) > 4000
         res = eval_numeric(target)
         assert mp.isfinite(res.abs_error_bound)
         assert res.terms_used < 300
@@ -211,6 +210,25 @@ class TestEvalNumeric:
         with pytest.raises(PreconditionError) as err:
             eval_numeric(SeriesSpec([F(1, 2)], [F(3, 2)], 2))
         assert err.value.condition == "argument_out_of_range"
+
+    def test_unit_argument_needs_one_more_numerator(self):
+        for nums, dens in (([F(1, 3)], [F(5, 2)]), ([F(1, 3), F(1, 4), F(1, 5)], [F(7, 2)])):
+            with pytest.raises(PreconditionError) as err:
+                eval_numeric(SeriesSpec(nums, dens, 1))
+            assert err.value.condition == "argument_out_of_range"
+
+    @pytest.mark.parametrize("max_terms", [1, 5, 21])
+    def test_disk_budget_before_the_tail_bound_is_unbounded(self, max_terms):
+        # the tail bound is valid only past k = max|param| + 1 = 21.1, so
+        # these budgets end with an infinite bound on the partial sum
+        spec = SeriesSpec([F(1, 2)], [F(-201, 10)], F(1, 2))
+        res = eval_numeric(spec, precision=30, max_terms=max_terms)
+        assert res.abs_error_bound == mp.inf
+        assert res.terms_used == max_terms
+        partial = sum(_closed_form_terms([F(1, 2)], [F(-201, 10)], None, F(1, 2), max_terms))
+        with mp.workdps(60):
+            partial = mpf(partial.numerator) / partial.denominator
+            assert abs(res.value - partial) <= abs(partial) * mpf(10) ** -30
 
     @pytest.mark.parametrize(
         "request_", [dict(tol=0), dict(tol=-1e-12), dict(tol=math.nan), dict(acceleration="aitken")]
@@ -373,8 +391,9 @@ class TestParametricExcess:
 # any of these bits is a declared output change: re-record the entry and
 # state the old and new tuples, with each new value inside the old bound.
 # The disk entry was last re-recorded when its tail factor became an exact
-# integer quotient (the value did not move); the others when the term ratio
-# became an exact integer ratio.
+# integer quotient (the value did not move); unit_weighted when the
+# unit-argument start stopped reading a bound on the weight's zeros; the
+# others when the term ratio became an exact integer ratio.
 _PIN_WEIGHT = build_Q(ParamPairs([(F(1, 2), 2)]), F(5, 2), F(3, 2))
 PINNED = {
     "unit_plain": (
@@ -387,9 +406,9 @@ PINNED = {
     "unit_weighted": (
         WeightedSeriesSpec([F(1, 4), F(7, 3)], [F(15, 2)], _PIN_WEIGHT, 1),
         dict(precision=50, tol=1e-30),
-        (0, 2992869098176880457332159422090356181600182274774639223245082165569294080309, -250, 251),
-        (0, 6007002788645036251598500547004899266387119311678914941319459800895107705399, -353, 252),
-        2497,
+        (0, 2992869098176880457332159422090356181604023609364552582364547785006241591935, -250, 251),
+        (0, 4295307350879227136367339970979701473665143335818422061186693625439497556405, -361, 252),
+        4097,
     ),
     "disk_weighted": (
         WeightedSeriesSpec([F(1, 4), F(7, 3)], [F(3, 2)], _PIN_WEIGHT, F(-1, 2)),
@@ -582,6 +601,37 @@ class TestBoundEncloses:
             )
 
         assert self._check_unit_argument(watson(i) for i in range(18)) >= 15
+
+    def _weighted_gauss(self, rng, i):
+        """Case i of the weighted unit-argument sweep: a 2F1 kernel at x = 1
+        times a weight of degree 1 to 4, whose leading coefficient is divided
+        by 10^3 to 10^9 in every odd case."""
+        degree, s = 1 + i // 2 % 4, self.EXCESS[i // 8 % 6]
+        a, b = _draw_parameter(rng, 1), _draw_parameter(rng, 1)
+        coeffs = [F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(degree)]
+        coeffs.append(F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)))
+        if i % 2:
+            coeffs[-1] /= 10 ** rng.randint(3, 9)
+        return WeightedSeriesSpec([a, b], [a + b + degree + s], RationalPolynomial(coeffs), 1)
+
+    def test_weighted_unit_argument(self):
+        # the start budget reads the kernel parameters alone, so a weight
+        # with a tiny leading coefficient must neither break the bound nor
+        # keep it from meeting tol within the budget
+        rng = random.Random(2031)
+        checked = tiny = 0
+        for i in range(72):
+            spec = self._weighted_gauss(rng, i)
+            if _has_pole([*spec.kernel_numerators, *spec.kernel_denominators]):
+                continue
+            res = eval_numeric(spec, precision=30, tol=1e-12, max_terms=40_000)
+            exact = _weighted_reference(spec)  # at x = 1, mpmath.hyper sums by Gauss
+            with mp.workdps(100):
+                assert abs(res.value - exact) <= res.abs_error_bound, i
+                assert res.abs_error_bound <= 1e-12 * max(1, abs(res.value)), i
+            checked += 1
+            tiny += i % 2
+        assert checked >= 60 and tiny >= 30
 
     def test_pfaff_saalschutz_exact(self):
         # 3F2(-n, a, b; c, 1+a+b-c-n; 1) = (c-a)_n (c-b)_n / ((c)_n (c-a-b)_n)

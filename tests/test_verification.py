@@ -19,7 +19,7 @@ from thomae.errors import NonConvergenceError, PreconditionError
 from thomae.exact import ParamPairs
 from thomae.polynomials import RationalPolynomial, find_zeros
 from thomae.series import SeriesSpec, eval_numeric, gamma_ratio
-from thomae.transforms import thomae, thomae_terminating
+from thomae.transforms import euler2, thomae, thomae_terminating
 from thomae.verification import (
     CaseProfile,
     _gauss_jacobi,
@@ -60,6 +60,16 @@ class TestVerifyTransform:
         report = verify_transform(dataclasses.replace(t, prefactor=wrong), tol=1e-10)
         assert report.verdict == "fail" and not report.exact
         assert report.discrepancy > report.combined_tolerance
+
+    @pytest.mark.parametrize("a", [330, 400])
+    def test_prefactor_beyond_float_range(self, a):
+        # (1 - 9/10)^(c - a - b) is about 10^(a - 13/6): float(pref) is inf,
+        # and the target's tolerance is clamped to the least normal float
+        t = euler2(F(a), F(1, 3), F(5, 2), ParamPairs(), F(9, 10))
+        report = verify_transform(t)
+        assert abs(t.prefactor_value(50)) > 1e308
+        assert report.verdict == "pass"
+        assert report.discrepancy <= report.combined_tolerance
 
     @pytest.mark.parametrize("budget", [1, 2, 4, 5])
     def test_budget_below_start_is_inconclusive(self, budget):
