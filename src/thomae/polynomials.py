@@ -319,24 +319,18 @@ def _float_coefficients(p: RationalPolynomial, e: int) -> list[float]:
     return [(n << up) / (d << down) for n, d in scaled]
 
 
-# The largest |e| of the substitution t = 2^e u in find_zeros: half the float
-# exponent range, far above what the weights built here need (e = 6 at m =
-# 192).  Polynomials whose zeros lie nearer the float limits stay degenerate.
-MAX_SCALE_EXPONENT = 511
-
-
 def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
     """All complex zeros of ``p`` as eigenvalues of its companion matrix.
 
     Requires degree >= 1, p(0) != 0 and tol > 0.  The coefficients are
     divided by a power of two taken from the largest before they become
     floats, so none overflows and both residual sums stay finite.  When the
-    leading or the constant coefficient underflows to 0.0 at that scale, the
-    zeros are sought in u = t / 2^e instead, with e = log2 |c_0 / c_n| / n
-    rounded, which brings the leading and constant coefficients of p(2^e u)
-    to the same size.  If one still underflows, or |e| exceeds
-    MAX_SCALE_EXPONENT, p is rejected.  Every polynomial whose coefficients
-    fit at e = 0 keeps e = 0.
+    constant coefficient underflows to 0.0 at that scale, or the leading one
+    is subnormal, the zeros are sought in u = t / 2^e instead, with
+    e = log2 |c_0 / c_n| / n rounded, which brings the leading and constant
+    coefficients of p(2^e u) to the same size.  If either still misses, or 2^e or a zero is not a
+    finite nonzero float, p is rejected.  Every polynomial whose
+    coefficients fit at e = 0 keeps e = 0.
 
     The zeros come from ``numpy.roots`` on the float coefficients in u,
     which is backward stable in them (Edelman and Murakami, Math. Comp.
@@ -356,17 +350,24 @@ def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
         raise PreconditionError("degenerate_polynomial", "need degree >= 1")
     if p.coefficients[0] == 0:
         raise PreconditionError("degenerate_polynomial", "polynomial vanishes at 0")
+
+    def unfit(cs: list[float]) -> bool:
+        # numpy.roots divides by the leading coefficient, which overflows
+        # once it is below 2^-1022, the least normal float
+        return cs[0] == 0 or abs(cs[-1]) < 2.0**-1022
+
     e = 0
     coeffs = _float_coefficients(p, e)
-    if coeffs[0] == 0 or coeffs[-1] == 0:
+    if unfit(coeffs):
         e = round((_log2(p.coefficients[0]) - _log2(p.coefficients[-1])) / p.degree)
-        if abs(e) <= MAX_SCALE_EXPONENT:
-            coeffs = _float_coefficients(p, e)
-    if coeffs[0] == 0 or coeffs[-1] == 0:
+        coeffs = _float_coefficients(p, e)
+    scale = 2.0**e if e < 1024 else math.inf
+    if unfit(coeffs) or not 0 < scale < math.inf:
         raise PreconditionError(
-            "degenerate_polynomial", "the leading or constant coefficient underflows to 0.0"
+            "degenerate_polynomial",
+            "the constant coefficient underflows to 0.0, the leading one is subnormal, "
+            "or 2^e is outside the float range",
         )
-    scale = 2.0**e
 
     def relative_residual(z: complex) -> float:
         cs, u = coeffs, z / scale  # p(t) and sum |c_i| |t|^i equal their forms in u
@@ -377,7 +378,9 @@ def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
             val = val * u + c
         return abs(val) / sum(abs(c) * abs(u) ** i for i, c in enumerate(cs))
 
-    zs = [complex(u.real * scale, u.imag * scale) for u in np.roots(coeffs[::-1])]
+    zs = [complex(u.real * scale, u.imag * scale) for u in map(complex, np.roots(coeffs[::-1]))]
+    if not all(z and math.isfinite(z.real) and math.isfinite(z.imag) for z in zs):
+        raise PreconditionError("degenerate_polynomial", "a zero leaves the float range")
     misses = [i for i, z in enumerate(zs) if relative_residual(z) > tol]
     if misses:
         _polish(p, zs, misses)

@@ -5,26 +5,20 @@ plus a polynomial weight evaluated at the negated summation index
 (``WeightedSeriesSpec``); the latter is how a transformed series is
 carried around without computing any polynomial zeros.
 
-Terminating series are summed exactly over the rationals.  Inside the unit
-disk a series is summed in fixed point over the Python integers, with a
-geometric tail bound; at unit argument, where terms only decay like a
-power of the index, it is summed in extended-precision floating point and
-completed with an asymptotic tail (fitted inverse powers combined with
-Hurwitz zeta values).
-
-Every path, exact or numeric, draws its terms from one recurrence, which
-forms each term ratio exactly over the integers.  Inside the disk each
-kernel is an integer in units of 2^-P, stepped by one multiply and one
-floor division, and the terms add up exactly; the floor errors are
-tracked as integers beside them, so the rounding part of the bound is
-proven, not estimated, and summing stops once tail plus rounding meets
-the request.  The tail bound uses only the parameters and the absolute
-values of the weight's coefficients, never a bound on the weight's zeros,
-so a weight with a tiny leading coefficient does not delay it; the
-unit-argument start budget likewise reads the parameters alone.  At unit
-argument the term list is extended, not rebuilt, when the term budget
-doubles, and each budget's Hurwitz zeta values are computed once and
-shared by the tail fit and its lower-order check.
+Every path draws its terms from one integer recurrence of term ratios.
+Terminating series are summed exactly over the rationals.  Every numeric
+sum is formed in fixed point over the Python integers: each kernel is an
+integer in units of 2^-P, stepped by one multiply and one floor division,
+the terms add up exactly, and the floor errors are tracked as integers
+beside them, so the rounding part of every bound is proven.  P rises
+whenever a kernel runs short of bits, so neither a decaying kernel nor a
+huge weight denominator costs precision.  Inside the unit disk a tail
+bound from the parameters and the absolute values of the weight's
+coefficients (never a bound on its zeros) ends the sum once tail plus
+rounding meets the request.  At unit argument, where terms only decay
+like a power of the index, the partial sum is completed with an
+asymptotic tail (fitted inverse powers combined with Hurwitz zeta values),
+whose start budget reads the parameters alone.
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from mpmath import mp, mpf
 
 from .errors import PreconditionError, positive_tolerance
-from .exact import RationalLike, as_rational, nonpositive_integer, term_ratios
+from .exact import RationalLike, as_rational, hypergeometric_terms, nonpositive_integer, term_ratios
 from .polynomials import RationalPolynomial
 
 
@@ -197,8 +191,10 @@ def eval_terminating(spec: AnySeries) -> Fraction:
             "nonterminating",
             "no numerator parameter is a nonpositive integer; series does not terminate",
         )
-    terms = islice(_kernel_and_weight(spec, Fraction(1)), n + 1)
-    return sum((kernel * w for kernel, w in terms), Fraction(0))
+    nums, dens, x = spec.kernel_numerators, spec.kernel_denominators, spec.argument
+    kernels = hypergeometric_terms(nums, dens, x, n + 1)
+    denominator, weights = _weights(spec)
+    return sum((kernel * w for kernel, w in zip(kernels, weights)), Fraction(0)) / denominator
 
 
 def _max_param_magnitude(spec: AnySeries) -> float:
@@ -223,25 +219,6 @@ def _weights(spec: AnySeries) -> tuple[int, Iterator[int]]:
             yield w
 
     return denominator, values()
-
-
-def _kernel_and_weight(spec: AnySeries, one=mpf(1)) -> Iterator[tuple]:
-    """Yield (kernel_k / D, D * weight(-k)) for k = 0, 1, 2, ...
-
-    kernel_k = prod (nums)_k / (prod (dens)_k k!) * x^k, and D and the
-    integer weights are those of :func:`_weights`, so the product of the
-    pair is term k.  Each kernel ratio is the integer pair of
-    :func:`thomae.exact.term_ratios`, applied with one multiply and one
-    divide in the type of ``one``: ``mpf(1)`` for the unit-argument paths
-    (consume the generator inside the precision context it was started
-    in), ``Fraction(1)`` for exact terms.
-    """
-    denominator, weights = _weights(spec)
-    kernel = one / denominator
-    ratios = term_ratios(spec.kernel_numerators, spec.kernel_denominators, spec.argument)
-    for (num, den), w in zip(ratios, weights):
-        yield kernel, w
-        kernel = kernel * num / den
 
 
 # M_k of the disk tail bound is W(k) / (1 - rho'_k) in units of 2^-_TAIL_BITS, rounded up
@@ -312,6 +289,43 @@ def _disk_tail_bound(spec: AnySeries) -> Callable[[int], Optional[int]]:
 _GUARD_BITS = 8
 
 
+def _fixed_point_sums(spec: AnySeries, prec: int) -> Iterator[tuple[int, ...]]:
+    """Yield (S_k, R_k, X_k, E_k, w_k, P_k), k = 0, 1, 2, ..., in units of 2^-P_k.
+
+    Term k is X_k w_k 2^-P_k, with the integer weights w_k of :func:`_weights`.
+    X_k lies within E_k of 2^P_k kernel_k / D: X_0 = floor(2^P_0 / D), E_0 = 1,
+    X_{k+1} = floor(X_k num_k / den_k) and E_{k+1} = ceil(E_k |num_k / den_k|)
+    + 1, since the error scales by the ratio and the floor adds less than 1.
+    S_k = sum_{j<k} X_j w_j and R_k = sum_{j<k} E_j |w_j| are exact, so the
+    first k terms add up to S_k 2^-P_k within R_k 2^-P_k.
+
+    P_0 = prec + _GUARD_BITS.  Whenever a nonzero X_k has fewer than
+    L = max(prec - 64, prec // 2) bits, X_k, E_k, S_k and R_k are shifted
+    left until X_k has P_0 bits, and P_k rises by the shift; an X_0 short of
+    L bits is instead recomputed at P_0 plus the bits of D.  The shifts are
+    exact, so the bounds hold.
+    """
+    bits = prec + _GUARD_BITS
+    low = max(prec - 64, prec // 2)
+    denominator, weights = _weights(spec)
+    scale, slack, total, err = bits, 1, 0, 0
+    kernel = (1 << scale) // denominator
+    if kernel.bit_length() < low:  # a large D: start where a rescale would leave X_0
+        scale += denominator.bit_length()
+        kernel = (1 << scale) // denominator
+    ratios = term_ratios(spec.kernel_numerators, spec.kernel_denominators, spec.argument)
+    for (num, den), w in zip(ratios, weights):
+        yield total, err, kernel, slack, w, scale
+        total += kernel * w
+        err += slack * abs(w)
+        kernel = kernel * num // den
+        slack = -(-slack * abs(num) // abs(den)) + 1
+        if kernel.bit_length() < low and kernel:
+            shift = bits - kernel.bit_length()
+            kernel, slack, total, err = (v << shift for v in (kernel, slack, total, err))
+            scale += shift
+
+
 def _round_up(n: int, prec: int) -> int:
     """The least integer >= n with at most ``prec`` significant bits (n >= 0)."""
     drop = n.bit_length() - prec
@@ -319,7 +333,7 @@ def _round_up(n: int, prec: int) -> int:
 
 
 def _fixed_point_pass(
-    spec: AnySeries, tol: float, max_terms: int, tail: Callable[[int], Optional[int]]
+    spec: AnySeries, tol, max_terms: int, tail: Callable[[int], Optional[int]]
 ) -> tuple[EvalResult, int]:
     """One pass of :func:`_sum_inside_disk` at the current ``mp.prec``.
 
@@ -327,69 +341,54 @@ def _fixed_point_pass(
     (0 when none does).
     """
     prec = mp.prec
-    bits = prec + _GUARD_BITS
-    one = 1 << bits
     tol_num, tol_den = tol.as_integer_ratio()
-    tol_shift = tol_den.bit_length() - 1  # tol_den is a power of 2
-    denominator, weights = _weights(spec)
-    ratios = term_ratios(spec.kernel_numerators, spec.kernel_denominators, spec.argument)
-    kernel, slack = one // denominator, 1  # X_k and E_k
-    total = err = k = 0
+    tol_bits = tol_num.bit_length() - tol_den.bit_length() + 1  # tol < 2^tol_bits
 
-    def state(k: int, kernel: int, slack: int, total: int, err: int):
+    def state(k: int, total: int, err: int, kernel: int, slack: int, scale: int):
         """(tail, rounding, target) after k terms, in units of 2^-P; tail None while invalid."""
         size = abs(total)
-        scale = tail(k)
-        tail_units = None if scale is None else ((abs(kernel) + slack) * scale >> _TAIL_BITS) + 1
-        return tail_units, err + (size >> (prec - 1)) + 1, max(one, size) * tol_num >> tol_shift
+        factor = tail(k)
+        tail_units = None if factor is None else ((abs(kernel) + slack) * factor >> _TAIL_BITS) + 1
+        target = max(1 << scale, size) * tol_num // tol_den
+        return tail_units, err + (size >> (prec - 1)) + 1, target
 
-    for (num, den), w in islice(zip(ratios, weights), max_terms):
-        total += kernel * w
-        err += slack * abs(w)
-        kernel = kernel * num // den
-        slack = -(-slack * abs(num) // abs(den)) + 1
-        k += 1
-        # M_k >= 2^40 W(k) >= 2^40, so the tail is at least |X_k|: while that
-        # reaches the target, neither stop below can hold
-        if abs(kernel) >= max(one, abs(total)) * tol_num >> tol_shift:
+    sums = islice(_fixed_point_sums(spec, prec), max_terms + 1)
+    for k, (total, err, kernel, slack, w, scale) in enumerate(sums):
+        # M_k >= 2^40 W(k) >= 2^40 max(1, |w_k|), so the tail is at least
+        # |X_k| max(1, |w_k|), and the target is below 2^(max(P, bits of S_k)
+        # + tol_bits): while the bit lengths put the tail above it, no stop holds
+        if kernel.bit_length() + w.bit_length() > max(scale, total.bit_length()) + tol_bits + 1:
             continue
-        tail_units, rounding, target = state(k, kernel, slack, total, err)
+        tail_units, rounding, target = state(k, total, err, kernel, slack, scale)
         if tail_units is not None and tail_units <= target and (
             tail_units <= target - rounding or 2 * rounding > target
         ):
             break
-    tail_units, rounding, target = state(k, kernel, slack, total, err)
+    tail_units, rounding, target = state(k, total, err, kernel, slack, scale)
     met = tail_units is not None and tail_units <= target - rounding
-    value = mp.ldexp(mpf(total), -bits)
+    value = mp.ldexp(mpf(total), -scale)
     if tail_units is None:
         bound = mp.inf
     else:
-        bound = mp.ldexp(mpf(_round_up(tail_units + rounding, prec)), -bits)
+        bound = mp.ldexp(mpf(_round_up(tail_units + rounding, prec)), -scale)
     extra = 0
     if not met and 2 * rounding > target:
-        extra = int(math.log10(rounding) - bits * math.log10(2) - math.log10(tol)) + 2
+        extra = int(math.log10(rounding * tol_den) - math.log10(tol_num << scale)) + 2
     return EvalResult(value, bound, k), extra
 
 
-def _sum_inside_disk(spec: AnySeries, precision: int, tol: float, max_terms: int) -> EvalResult:
+def _sum_inside_disk(spec: AnySeries, precision: int, tol, max_terms: int) -> EvalResult:
     """Direct summation for |x| < 1, in fixed point over the integers.
 
-    At mp.prec bits (precision + 10 digits) the sum is kept in units of
-    2^-P, P = mp.prec + _GUARD_BITS:
-    - X_0 = floor(2^P / D) and X_{k+1} = floor(X_k num_k / den_k), so X_k
-      is 2^P kernel_k / D up to an error |e_k| <= E_k, with E_0 = 1 and
-      E_{k+1} = ceil(E_k |num_k| / |den_k|) + 1, since
-      e_{k+1} = e_k num_k / den_k + (a floor's fraction in [0, 1));
-    - total = sum_k X_k w_k exactly, with the integer weights w_k of
-      :func:`_weights`, so |total - 2^P partial sum| <= err = sum_k E_k |w_k|;
-    - the value is total rounded once to mp.prec bits, which errs by at
-      most |value| 2^(1 - prec).
+    At mp.prec bits (precision + 10 digits) the first k terms add up to
+    S_k 2^-P within R_k 2^-P (:func:`_fixed_point_sums`), and the value is
+    S_k rounded once to mp.prec bits, which errs by at most |value| 2^(1 - prec).
     So the rounding part of the bound, in units of 2^-P, is
-    err + |total| 2^(1 - prec) + 1, proven rather than estimated.  The
+    R_k + |S_k| 2^(1 - prec) + 1, proven rather than estimated.  The
     tail from term k on is at most (|X_k| + E_k) M_k 2^-40 units
     (:func:`_disk_tail_bound`).
 
-    Summing stops once tail + rounding <= tol max(2^P, |total|), so the
+    Summing stops once tail + rounding <= tol max(2^P, |S_k|), so the
     reported bound meets the request.  It also stops once the tail alone
     meets that target while the rounding takes more than half of it: the
     terms cancelled (or tol is below the working precision), and more
@@ -413,7 +412,8 @@ def _fit_tail(terms, upto: int, s, zetas) -> mpf:
 
     Models T_k ~ k^(-1-s) * sum_i d_i (upto/k)^i, i < len(zetas), on nodes
     in [upto/2, upto] and completes the tail with the Hurwitz zeta values
-    zetas[i] = zeta(1 + s + i, upto + 1).
+    zetas[i] = zeta(1 + s + i, upto + 1).  terms[k] is the pair (n, P)
+    with T_k = n 2^-P.
     """
     order = len(zetas)
     delta = max(1, upto // (2 * order))
@@ -423,7 +423,7 @@ def _fit_tail(terms, upto: int, s, zetas) -> mpf:
     for k in ks:
         v = mpf(upto) / k
         rows.append([v**i for i in range(order)])
-        rhs.append(terms[k] * mpf(k) ** (1 + s))
+        rhs.append(mp.ldexp(terms[k][0], -terms[k][1]) * mpf(k) ** (1 + s))
     coeffs = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
     tail = mpf(0)
     for i in range(order):
@@ -439,8 +439,10 @@ def _sum_unit_argument(
     The term ratio approaches 1 - (1+s)/k, so the tail behaves like an
     inverse-power series; a direct cutoff alone decays only like K^(-s).
     The completion fits that inverse-power behavior and sums it exactly
-    with Hurwitz zeta values; the bound is four times the change when the
-    fit drops three orders, plus the working-precision floor.
+    with Hurwitz zeta values.  The bound is four times the change when the
+    fit drops three orders, plus the proven rounding of the fixed-point
+    partial sum (:func:`_fixed_point_sums`, at precision + 25 digits) and
+    of its one conversion, with the tail added, to mp.prec bits.
 
     The term budget starts at max(128, 8 max|param| + 16), from the kernel
     parameters alone: it reads no bound on the weight's zeros.  A budget
@@ -458,30 +460,30 @@ def _sum_unit_argument(
         )
     start = max(128, int(8 * _max_param_magnitude(spec)) + 16)
     with mp.workdps(precision + 25):
-        s_mp = mpf(s.numerator) / s.denominator
-        tol = mpf(tol)
-        source = (kernel * w for kernel, w in _kernel_and_weight(spec))
+        sums = _fixed_point_sums(spec, mp.prec)
         if max_terms < start:
-            return EvalResult(+mp.fsum(islice(source, max_terms + 1)), mp.inf, max_terms + 1)
+            total, _, _, _, _, scale = next(islice(sums, max_terms + 1, None))
+            return EvalResult(mp.ldexp(mpf(total), -scale), mp.inf, max_terms + 1)
+        s_mp = mpf(s.numerator) / s.denominator
+        tol_num, tol_den = tol.as_integer_ratio()
         budget = start
         best: Optional[EvalResult] = None
-        terms = []
+        terms = []  # (X_k w_k, P_k) for term k
         while True:
-            terms.extend(islice(source, budget + 1 - len(terms)))
-            partial = mp.fsum(terms)
+            # up to item budget + 1, whose S and R cover terms 0..budget
+            for total, err, kernel, _, w, scale in islice(sums, budget + 2 - len(terms)):
+                terms.append((kernel * w, scale))
             order = min(12, max(4, budget // 24))
             zetas = [mp.zeta(1 + s_mp + i, budget + 1) for i in range(order)]
             tail = _fit_tail(terms, budget, s_mp, zetas)
             tail_check = _fit_tail(terms, budget, s_mp, zetas[: max(3, order - 3)])
-            stability = 4 * abs(tail - tail_check)
-            value = partial + tail
-            floor = abs(value) * mpf(10) ** (-precision)
-            bound = stability + floor
-            result = EvalResult(+value, +bound, budget + 1)
+            value = mp.ldexp(total, -scale) + tail  # S 2^-P is exact, so one rounding
+            rounding = mp.ldexp(err, -scale) + mp.ldexp(abs(value), 1 - mp.prec)
+            bound = 4 * abs(tail - tail_check) + rounding
+            result = EvalResult(value, bound, budget + 1)
             if best is None or bound < best.abs_error_bound:
                 best = result
-            target = tol * max(mpf(1), abs(value))
-            if bound <= target or budget >= max_terms:
+            if bound * tol_den <= tol_num * max(mpf(1), abs(value)) or budget >= max_terms:
                 return best
             budget = min(max_terms, budget * 2)
 
@@ -494,11 +496,8 @@ def _levin_unit_argument(spec: AnySeries, precision: int, count: int) -> EvalRes
     """
     count = max(24, min(count, 56))
     with mp.workdps(2 * precision + 20):
-        partials = []
-        acc = mpf(0)
-        for kernel, w in islice(_kernel_and_weight(spec), count):
-            acc += kernel * w
-            partials.append(+acc)
+        sums = islice(_fixed_point_sums(spec, mp.prec), 1, count + 1)
+        partials = [mp.ldexp(mpf(total), -scale) for total, _, _, _, _, scale in sums]
         transform = mp.levin(method="levin", variant="u")
         value, _ = transform.update_psum(partials)
         short = mp.levin(method="levin", variant="u")
@@ -517,7 +516,8 @@ def eval_numeric(
     """Evaluate a series numerically with an explicit error bound.
 
     ``precision`` is the working precision in decimal digits; ``tol`` the
-    requested bound relative to max(1, |value|).  Terminating series are
+    requested bound relative to max(1, |value|), kept exact when it is a
+    ``Fraction`` and taken as a float otherwise.  Terminating series are
     summed exactly and reported with the exact value attached.  Arguments
     must satisfy |x| < 1 (with at most one numerator beyond the
     denominators unless x = 0), or x = 1 with positive excess.  If the bound
@@ -528,7 +528,7 @@ def eval_numeric(
     sequence acceleration (off by default; used for cross-checks).  Any
     other acceleration, or a tol that is not positive, is invalid_input.
     """
-    tol = positive_tolerance(tol)
+    tol = tol if isinstance(tol, Fraction) and tol > 0 else positive_tolerance(tol)
     if acceleration not in (None, "levin"):
         raise PreconditionError("invalid_input", f"unknown acceleration {acceleration!r}")
     n = spec.termination_index()

@@ -366,11 +366,20 @@ class TestFindZeros:
             find_zeros(RationalPolynomial([5]))
         with pytest.raises(PreconditionError):
             find_zeros(RationalPolynomial([0, 1, 1]))  # vanishes at 0
-        # coefficients outside the float range
-        for coeffs in ([1, 0, F(1, 10**400)], [F(1, 10**400), 1], [1, 10**400]):
+        # zeros outside the float range: -10^-400 twice (2^e underflows),
+        # -10^320 (a subnormal leading coefficient) and about -2^1038
+        for coeffs in ([F(1, 10**400), 1], [1, 10**400], [10**320, 1], [3, 1, F(1, 10**312)]):
             with pytest.raises(PreconditionError) as err:
                 find_zeros(RationalPolynomial(coeffs))
             assert err.value.condition == "degenerate_polynomial"
+
+    def test_zeros_beyond_the_float_coefficients(self):
+        # the coefficients span 10^400, but the zeros +-10^200 i are floats:
+        # they are found in u = t / 2^664
+        zs = find_zeros(RationalPolynomial([1, 0, F(1, 10**400)]))
+        assert zs.converged and all(r <= 1e-13 for r in zs.residuals)
+        for z, expected in zip(zs.zeros, (-1e200j, 1e200j)):
+            assert abs(z - expected) <= 1e-13 * 1e200
 
 
 class TestEvaluation:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import thomae.series
 from thomae.errors import PreconditionError
 from thomae.exact import ParamPairs, pochhammer, pochhammer_product
 from thomae.polynomials import RationalPolynomial, build_Q, find_zeros
@@ -23,13 +24,14 @@ from thomae.series import (
     WeightedSeriesSpec,
     _disk_tail_bound,
     _fixed_point_pass,
-    _kernel_and_weight,
+    _fixed_point_sums,
     eval_numeric,
     eval_terminating,
     gamma_ratio,
     parametric_excess,
 )
-from thomae.transforms import euler1
+from thomae.transforms import euler1, euler2
+from thomae.verification import verify_transform
 
 F = Fraction
 
@@ -172,8 +174,9 @@ class TestEvalNumeric:
         res = eval_numeric(spec, max_terms=max_terms)
         assert res.abs_error_bound == mp.inf
         assert res.terms_used == max_terms + 1
+        partial = sum(_closed_form_terms([F(1, 3), F(1, 4)], [3], None, 1, max_terms + 1))
         with mp.workdps(80):
-            partial = mp.fsum(k * w for k, w in islice(_kernel_and_weight(spec), max_terms + 1))
+            partial = mpf(partial.numerator) / partial.denominator
             assert abs(res.value - partial) <= abs(partial) * mpf(10) ** -60
 
     def test_divergent_unit_argument_rejected(self):
@@ -231,13 +234,24 @@ class TestEvalNumeric:
             assert abs(res.value - partial) <= abs(partial) * mpf(10) ** -30
 
     @pytest.mark.parametrize(
-        "request_", [dict(tol=0), dict(tol=-1e-12), dict(tol=math.nan), dict(acceleration="aitken")]
+        "request_",
+        [dict(tol=0), dict(tol=-1e-12), dict(tol=math.nan), dict(tol=F(0)), dict(tol=F(-1, 3)),
+         dict(acceleration="aitken")],
     )
     def test_bad_request_is_invalid_input(self, request_):
         spec = SeriesSpec([F(1, 3), F(1, 4)], [3], F(1, 2))
         with pytest.raises(PreconditionError) as err:
             eval_numeric(spec, **request_)
         assert err.value.condition == "invalid_input"
+
+    def test_exact_tolerance_below_float_range(self):
+        # 10^-480 as a float is 0.0; as a Fraction it is met
+        spec = SeriesSpec([F(1, 3), F(1, 4)], [3], F(9, 10))
+        res = eval_numeric(spec, precision=500, tol=F(1, 10**480))
+        assert res.abs_error_bound <= mpf(10) ** -480
+        with mp.workdps(520):
+            exact = mpmath.hyp2f1(mpf(1) / 3, mpf(1) / 4, 3, mpf(9) / 10)
+            assert abs(res.value - exact) <= res.abs_error_bound
 
     def test_levin_acceleration_cross_check(self):
         spec = SeriesSpec([F(1, 3), F(1, 4)], [3], 1)
@@ -273,8 +287,13 @@ def test_eval_terminating_matches_closed_form(n, a, b, weight, x):
     assert eval_terminating(spec) == sum(_closed_form_terms([-n, a], [b], weight, x, n + 1))
 
 
+# euler2 at total shift 96 (pairs 1/3:48, 2/7:48): the common denominator
+# of its target's weight has 1142 bits, far above 2^P at the precisions used
+_M96 = euler2(F(1, 4), F(1, 5), F(5, 2), ParamPairs([(F(1, 3), 48), (F(2, 7), 48)]), F(1, 2))
+
+
 class TestTermGenerator:
-    """The one numeric term recurrence against closed-form rational terms."""
+    """The one fixed-point recurrence against closed-form rational terms."""
 
     # w(t) = (t + 3)(t - 2/7), so w(-3) = 0
     ZERO_AT_3 = RationalPolynomial([F(-6, 7), F(19, 7), 1])
@@ -287,25 +306,34 @@ class TestTermGenerator:
             ([F(1, 4), F(7, 3)], [F(3, 2)], ZERO_AT_3, F(-9, 10)),
             ([F(2, 5), F(6, 7)], [F(13, 7)], ZERO_AT_3, F(1)),
             ([F(3, 2), F(-119, 12)], [F(-8, 3)], _FOUND.target.weight, F(1, 3)),
+            (_M96.target.kernel_numerators, _M96.target.kernel_denominators, _M96.target.weight, 1),
         ],
     )
     def test_matches_exact_terms(self, nums, dens, weight, x):
-        # at precision + 10 digits (the unit-argument path sums at + 25),
-        # 300 terms must keep every term to the requested precision
-        precision, count = 30, 300
+        # every term and every partial sum within its proven floor error,
+        # exactly in Fractions, over 300 terms, through the rescales
+        count = 300
         exact = _closed_form_terms(nums, dens, weight, x, count)
+        if weight is self.ZERO_AT_3:
+            assert exact[3] == 0
         if weight is None:
             spec = SeriesSpec(nums, dens, x)
         else:
             spec = WeightedSeriesSpec(nums, dens, weight, x)
-        with mp.workdps(precision + 10):
-            got = [kernel * w for kernel, w in islice(_kernel_and_weight(spec), count)]
-        if weight is self.ZERO_AT_3:
-            assert exact[3] == 0 and got[3] == 0
-        with mp.workdps(precision + 20):
-            for k, (value, term) in enumerate(zip(got, exact)):
-                term = mpf(term.numerator) / term.denominator
-                assert abs(value - term) <= abs(term) * mpf(10) ** -precision, k
+        for prec in (40, 200):
+            partial = F(0)
+            scales = set()
+            for k, (total, err, kernel, slack, w, scale) in enumerate(
+                islice(_fixed_point_sums(spec, prec), count)
+            ):
+                unit = F(1, 2**scale)
+                assert abs(kernel * w * unit - exact[k]) <= slack * abs(w) * unit, (prec, k)
+                assert abs(total * unit - partial) <= err * unit, (prec, k)
+                assert kernel.bit_length() >= max(prec - 64, prec // 2), (prec, k)
+                partial += exact[k]
+                scales.add(scale)
+            if prec == 40 and x != 1:  # the kernel decays geometrically, so the scale rises
+                assert len(scales) > 1
 
 
 @settings(max_examples=50, deadline=None)
@@ -390,38 +418,36 @@ class TestParametricExcess:
 # of the bound, terms_used), recorded with mpmath 1.3.0.  A change that moves
 # any of these bits is a declared output change: re-record the entry and
 # state the old and new tuples, with each new value inside the old bound.
-# The disk entry was last re-recorded when its tail factor became an exact
-# integer quotient (the value did not move); unit_weighted when the
-# unit-argument start stopped reading a bound on the weight's zeros; the
-# others when the term ratio became an exact integer ratio.
+# All four were last re-recorded when every numeric path moved onto one
+# self-rescaling fixed-point recurrence.
 _PIN_WEIGHT = build_Q(ParamPairs([(F(1, 2), 2)]), F(5, 2), F(3, 2))
 PINNED = {
     "unit_plain": (
         SeriesSpec([F(1, 2), F(3, 4), F(1, 3)], [F(5, 4), F(7, 4)], 1),
         dict(precision=50, tol=1e-45),
-        (0, 3960820918201046311092111161666066422689045902547240591639770833474741214743, -251, 252),
-        (0, 5322942165518862708348443075548627522777108350232586555573577723006976169995, -402, 252),
+        (0, 3960820918201046311092111161666066422689045902547240591639770833472576585331, -251, 252),
+        (0, 332676819004283014339234475993080379027016170866598628898974412337653770303, -398, 248),
         16385,  # seven budget doublings, from 128 terms
     ),
     "unit_weighted": (
         WeightedSeriesSpec([F(1, 4), F(7, 3)], [F(15, 2)], _PIN_WEIGHT, 1),
         dict(precision=50, tol=1e-30),
-        (0, 2992869098176880457332159422090356181604023609364552582364547785006241591935, -250, 251),
-        (0, 4295307350879227136367339970979701473665143335818422061186693625439497556405, -361, 252),
+        (0, 187054318636055028583259963880647261350251475585284536397784248076842965571, -246, 247),
+        (0, 2147653675439613529334007945274699138556680075100573716245324677988815470959, -360, 251),
         4097,
     ),
     "disk_weighted": (
         WeightedSeriesSpec([F(1, 4), F(7, 3)], [F(3, 2)], _PIN_WEIGHT, F(-1, 2)),
         dict(precision=40, tol=1e-30),
-        (0, 230719531789688684326913941643261696755093264140829, -168, 168),
-        (0, 33863467376948417949625, -175, 75),
+        (0, 461439063579377368653827883286523393510186528283521, -169, 169),
+        (0, 639662813338603461017893364570276104763955619, -249, 149),
         112,
     ),
     "levin": (
         SeriesSpec([F(1, 3), F(1, 4)], [3], 1),
         dict(precision=40, acceleration="levin"),
-        (0, 72647237287026515501480273674073922913328569358135208788635052548600154753227323856485487945988651165, -335, 336),
-        (0, 19783460596333433824466221154861464123583963501870981942174472536933590096055945828823860074484145269, -466, 334),
+        (0, 72647237287026515501480273674073922913328569358135208788635052548600154796526523627566177684154679649, -335, 336),
+        (0, 79133842385333735297864884619447742440575177857179221527313778248616739091711688789460356203166878119, -468, 336),
         56,
     ),
 }
@@ -633,6 +659,19 @@ class TestBoundEncloses:
             tiny += i % 2
         assert checked >= 60 and tiny >= 30
 
+    @pytest.mark.parametrize("precision", [5, 50])
+    def test_unit_argument_partial_sum_rounding(self, precision, monkeypatch):
+        # with the tail fit taken out (both fits give 0), the bound is the
+        # proven rounding alone, and it must enclose the exact partial sum
+        monkeypatch.setattr(thomae.series, "_fit_tail", lambda terms, upto, s, zetas: mpf(0))
+        nums, dens = [F(1, 4), F(7, 3)], [F(15, 2)]
+        res = eval_numeric(WeightedSeriesSpec(nums, dens, _PIN_WEIGHT, 1), precision, max_terms=128)
+        assert res.terms_used == 129
+        partial = sum(_closed_form_terms(nums, dens, _PIN_WEIGHT, 1, 129))
+        with mp.workdps(precision + 60):
+            partial = mpf(partial.numerator) / partial.denominator
+            assert 0 < abs(res.value - partial) <= res.abs_error_bound
+
     def test_pfaff_saalschutz_exact(self):
         # 3F2(-n, a, b; c, 1+a+b-c-n; 1) = (c-a)_n (c-b)_n / ((c)_n (c-a-b)_n)
         rng = random.Random(2029)
@@ -820,3 +859,19 @@ class TestBoundEncloses:
         with mp.workdps(100):
             exact = _weighted_reference(spec)
             assert abs(res.value - exact) <= res.abs_error_bound <= 1e-30 * abs(exact)
+
+    def test_large_degree_in_one_pass(self, monkeypatch):
+        # at X_0 = floor(2^P / D) with a fixed P, the kernels of _M96's target
+        # would round to nothing: the first pass ran all 40 000 terms, and a
+        # second one at hundreds more digits redid the sum
+        passes = []
+
+        def counting(*args):
+            passes.append(args)
+            return _fixed_point_pass(*args)
+
+        monkeypatch.setattr(thomae.series, "_fixed_point_pass", counting)
+        res = eval_numeric(_M96.target, tol=1.25e-11, max_terms=40_000)
+        assert len(passes) == 1 and res.terms_used < 300
+        assert res.abs_error_bound <= 1.25e-11 * max(1, abs(res.value))
+        assert verify_transform(_M96).verdict == "pass"
