@@ -197,10 +197,9 @@ def eval_terminating(spec: AnySeries) -> Fraction:
     return sum((kernel * w for kernel, w in zip(kernels, weights)), Fraction(0)) / denominator
 
 
-def _max_param_magnitude(spec: AnySeries) -> float:
-    vals = [abs(float(a)) for a in spec.kernel_numerators]
-    vals += [abs(float(b)) for b in spec.kernel_denominators]
-    return max(vals, default=0.0)
+def _max_param(spec: AnySeries) -> Fraction:
+    """max |param| over the kernel's parameters, exactly (0 when there are none)."""
+    return max(map(abs, (*spec.kernel_numerators, *spec.kernel_denominators)), default=Fraction(0))
 
 
 def _weights(spec: AnySeries) -> tuple[int, Iterator[int]]:
@@ -246,8 +245,7 @@ def _disk_tail_bound(spec: AnySeries) -> Callable[[int], Optional[int]]:
     integer coefficients of D * weight to match kernel_k / D.
     """
     x = abs(spec.argument)
-    params = (*spec.kernel_numerators, *spec.kernel_denominators)
-    start = math.floor(max(map(abs, params), default=0)) + 1  # k > start iff k > max|param| + 1
+    start = math.floor(_max_param(spec)) + 1  # k > start iff k > max|param| + 1
     nums = sorted(spec.kernel_numerators, reverse=True)
     dens = sorted([Fraction(1), *spec.kernel_denominators], reverse=True)
     growing = [
@@ -299,20 +297,18 @@ def _fixed_point_sums(spec: AnySeries, prec: int) -> Iterator[tuple[int, ...]]:
     S_k = sum_{j<k} X_j w_j and R_k = sum_{j<k} E_j |w_j| are exact, so the
     first k terms add up to S_k 2^-P_k within R_k 2^-P_k.
 
-    P_0 = prec + _GUARD_BITS.  Whenever a nonzero X_k has fewer than
-    L = max(prec - 64, prec // 2) bits, X_k, E_k, S_k and R_k are shifted
-    left until X_k has P_0 bits, and P_k rises by the shift; an X_0 short of
-    L bits is instead recomputed at P_0 plus the bits of D.  The shifts are
-    exact, so the bounds hold.
+    P_0 = prec + _GUARD_BITS + bits(D - 1), so 2^P_0 / D lies in
+    [2^(prec + _GUARD_BITS), 2^(prec + _GUARD_BITS + 1)) and X_0 has exactly
+    prec + _GUARD_BITS + 1 bits for every D.  Whenever a nonzero X_k has
+    fewer than max(prec - 64, prec // 2) bits, X_k, E_k, S_k and R_k are
+    shifted left until X_k has prec + _GUARD_BITS bits, and P_k rises by the
+    shift.  The shifts are exact, so the bounds hold.
     """
     bits = prec + _GUARD_BITS
     low = max(prec - 64, prec // 2)
     denominator, weights = _weights(spec)
-    scale, slack, total, err = bits, 1, 0, 0
+    scale, slack, total, err = bits + (denominator - 1).bit_length(), 1, 0, 0
     kernel = (1 << scale) // denominator
-    if kernel.bit_length() < low:  # a large D: start where a rescale would leave X_0
-        scale += denominator.bit_length()
-        kernel = (1 << scale) // denominator
     ratios = term_ratios(spec.kernel_numerators, spec.kernel_denominators, spec.argument)
     for (num, den), w in zip(ratios, weights):
         yield total, err, kernel, slack, w, scale
@@ -407,20 +403,31 @@ def _sum_inside_disk(spec: AnySeries, precision: int, tol, max_terms: int) -> Ev
     return result
 
 
+def _fit_orders(budget: int) -> tuple[int, int]:
+    """The orders of the tail fit at ``budget`` and of its lower-order check."""
+    order = min(12, max(4, budget // 24))
+    return order, max(3, order - 3)
+
+
+def _fit_nodes(upto: int, order: int) -> range:
+    """The term indices an order-``order`` fit at ``upto`` reads, in [upto/2, upto]."""
+    delta = max(1, upto // (2 * order))
+    return range(upto, upto - order * delta, -delta)
+
+
 def _fit_tail(terms, upto: int, s, zetas) -> mpf:
     """Tail sum_{k > upto} T_k from an inverse-power fit of the last terms.
 
-    Models T_k ~ k^(-1-s) * sum_i d_i (upto/k)^i, i < len(zetas), on nodes
-    in [upto/2, upto] and completes the tail with the Hurwitz zeta values
-    zetas[i] = zeta(1 + s + i, upto + 1).  terms[k] is the pair (n, P)
-    with T_k = n 2^-P.
+    Models T_k ~ k^(-1-s) * sum_i d_i (upto/k)^i, i < len(zetas), on the
+    nodes :func:`_fit_nodes` gives and completes the tail with the Hurwitz
+    zeta values zetas[i] = zeta(1 + s + i, upto + 1).  ``terms`` is the
+    node store: terms[k] is the pair (n, P) with T_k = n 2^-P, for at
+    least every node k.
     """
     order = len(zetas)
-    delta = max(1, upto // (2 * order))
-    ks = [upto - j * delta for j in range(order)]
     rows = []
     rhs = []
-    for k in ks:
+    for k in _fit_nodes(upto, order):
         v = mpf(upto) / k
         rows.append([v**i for i in range(order)])
         rhs.append(mp.ldexp(terms[k][0], -terms[k][1]) * mpf(k) ** (1 + s))
@@ -444,12 +451,15 @@ def _sum_unit_argument(
     partial sum (:func:`_fixed_point_sums`, at precision + 25 digits) and
     of its one conversion, with the tail added, to mp.prec bits.
 
-    The term budget starts at max(128, 8 max|param| + 16), from the kernel
-    parameters alone: it reads no bound on the weight's zeros.  A budget
-    too small for the weight shows in the fit's lower-order check, and the
-    budget doubles until the bound meets ``tol``; below that start no fit
-    is made, and the sum of max_terms + 1 terms comes with an infinite
-    bound.  One term list is extended across the doublings, and each
+    The term budget starts at max(128, floor(8 max|param|) + 16), from the
+    kernel parameters alone and exactly: it reads no bound on the weight's
+    zeros and floats no parameter.  A budget too small for the weight shows
+    in the fit's lower-order check, and the budget doubles, the last
+    doubling capped at max_terms, until the bound meets ``tol``; below that
+    start no fit is made, and the sum of max_terms + 1 terms comes with an
+    infinite bound.  The schedule of budgets is known up front, so only the
+    terms that some budget's fit or check fit reads are stored (the capped
+    last budget's nodes reach back below the budget before it).  Each
     budget's zeta values are computed once and shared by the tail fit and
     its lower-order check.
     """
@@ -458,34 +468,45 @@ def _sum_unit_argument(
         raise PreconditionError(
             "divergent", f"unit-argument series needs positive excess, got {s}"
         )
-    start = max(128, int(8 * _max_param_magnitude(spec)) + 16)
+    start = max(128, math.floor(8 * _max_param(spec)) + 16)
     with mp.workdps(precision + 25):
         sums = _fixed_point_sums(spec, mp.prec)
         if max_terms < start:
             total, _, _, _, _, scale = next(islice(sums, max_terms + 1, None))
             return EvalResult(mp.ldexp(mpf(total), -scale), mp.inf, max_terms + 1)
+        budgets = [start]
+        while budgets[-1] < max_terms:
+            budgets.append(min(max_terms, 2 * budgets[-1]))
+        nodes = {
+            k
+            for budget in budgets
+            for order in _fit_orders(budget)
+            for k in _fit_nodes(budget, order)
+        }
         s_mp = mpf(s.numerator) / s.denominator
         tol_num, tol_den = tol.as_integer_ratio()
-        budget = start
         best: Optional[EvalResult] = None
-        terms = []  # (X_k w_k, P_k) for term k
-        while True:
+        terms = {}  # (X_k w_k, P_k) for each node k
+        taken = 0
+        for budget in budgets:
             # up to item budget + 1, whose S and R cover terms 0..budget
-            for total, err, kernel, _, w, scale in islice(sums, budget + 2 - len(terms)):
-                terms.append((kernel * w, scale))
-            order = min(12, max(4, budget // 24))
+            for total, err, kernel, _, w, scale in islice(sums, budget + 2 - taken):
+                if taken in nodes:
+                    terms[taken] = (kernel * w, scale)
+                taken += 1
+            order, check_order = _fit_orders(budget)
             zetas = [mp.zeta(1 + s_mp + i, budget + 1) for i in range(order)]
             tail = _fit_tail(terms, budget, s_mp, zetas)
-            tail_check = _fit_tail(terms, budget, s_mp, zetas[: max(3, order - 3)])
+            tail_check = _fit_tail(terms, budget, s_mp, zetas[:check_order])
             value = mp.ldexp(total, -scale) + tail  # S 2^-P is exact, so one rounding
             rounding = mp.ldexp(err, -scale) + mp.ldexp(abs(value), 1 - mp.prec)
             bound = 4 * abs(tail - tail_check) + rounding
             result = EvalResult(value, bound, budget + 1)
             if best is None or bound < best.abs_error_bound:
                 best = result
-            if bound * tol_den <= tol_num * max(mpf(1), abs(value)) or budget >= max_terms:
-                return best
-            budget = min(max_terms, budget * 2)
+            if bound * tol_den <= tol_num * max(mpf(1), abs(value)):
+                break
+        return best
 
 
 def _levin_unit_argument(spec: AnySeries, precision: int, count: int) -> EvalResult:

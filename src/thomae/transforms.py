@@ -243,6 +243,12 @@ def contract_pairs(target: WeightedSeriesSpec) -> WeightedSeriesSpec:
     way the weight loses the factor (1 - t/z), the series order drops by
     one, and the value is unchanged term by term.  No-op when nothing
     matches.
+
+    No trade can make a valid target invalid, so none is ever undone: a
+    numerator -n traded for -n + 1 only lowers the termination index; a
+    denominator z + 1 traded for z is a pole -q only when z + 1 = -(q - 1)
+    was already a pole, shielded by a stop n <= q - 1 < q; and the deflated
+    weight is never zero.  The result is validated all the same.
     """
     nums = list(target.kernel_numerators)
     dens = list(target.kernel_denominators)
@@ -252,18 +258,10 @@ def contract_pairs(target: WeightedSeriesSpec) -> WeightedSeriesSpec:
         moves = [(dens, i, den - 1, den - 1) for i, den in enumerate(dens)]
         moves += [(nums, i, num, num + 1) for i, num in enumerate(nums)]
         for side, i, z, replacement in moves:
-            if z == 0 or weight.evaluate(z) != 0:
-                continue
-            deflated = weight.divide_by_root(z).coefficients
-            candidate_weight = RationalPolynomial(-z * c for c in deflated)
-            kept, side[i] = side[i], replacement
-            try:
-                WeightedSeriesSpec(nums, dens, candidate_weight, target.argument)
-            except PreconditionError:
-                side[i] = kept
-                continue
-            weight = candidate_weight
-            break
+            if z != 0 and weight.evaluate(z) == 0:
+                side[i] = replacement
+                weight = RationalPolynomial(-z * c for c in weight.divide_by_root(z).coefficients)
+                break
         else:
             break  # no weight zero matches a kernel parameter
     return WeightedSeriesSpec(nums, dens, weight, target.argument)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -166,6 +167,29 @@ class TestEvalNumeric:
             bounds.append(res.abs_error_bound)
         assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
 
+    def test_unit_argument_start_budget_is_exact(self):
+        # max|param| = 10^400 is beyond float range, so the start budget
+        # 8 max|param| + 16 must be taken exactly: any budget below it ends
+        # with the partial sum and an infinite bound, and nothing overflows
+        big = 10**400
+        spec = SeriesSpec([F(1, 3), big], [big + 2], 1)
+        res = eval_numeric(spec, max_terms=1000)
+        assert res.abs_error_bound == mp.inf
+        assert res.terms_used == 1001
+
+    def test_unit_argument_stores_only_fit_nodes(self):
+        # the fit reads at most 21 nodes per budget, so the memory must not
+        # grow with the 20 001 terms summed (2.7 MB when every term was kept)
+        spec = SeriesSpec([F(1, 3), F(1, 4)], [3], 1)
+        tracemalloc.start()
+        try:
+            res = eval_numeric(spec, precision=60, tol=1e-200, max_terms=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.terms_used == 20_001
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize("max_terms", [1, 3, 4, 5, 127])
     def test_unit_argument_below_start_budget_is_unbounded(self, max_terms):
         # the tail fit starts at 128 terms here; with fewer there is no fit,
@@ -298,6 +322,18 @@ class TestTermGenerator:
     # w(t) = (t + 3)(t - 2/7), so w(-3) = 0
     ZERO_AT_3 = RationalPolynomial([F(-6, 7), F(19, 7), 1])
 
+    @pytest.mark.parametrize("denominator", [1, 3, 2**20, 3**50])
+    @pytest.mark.parametrize("prec", [40, 200])
+    def test_first_kernel_has_full_width(self, denominator, prec):
+        # X_0 = floor(2^P / D) at P = prec + 8 + bits(D - 1) has prec + 9 bits
+        # for every D, including D = 3**50 > 2^72
+        weight = RationalPolynomial([F(1, denominator), 1])
+        assert weight._integer_form[0] == denominator
+        spec = WeightedSeriesSpec([F(1, 3), F(1, 4)], [3], weight, F(1, 2))
+        *_, kernel, _, _, scale = next(_fixed_point_sums(spec, prec))
+        assert kernel.bit_length() == prec + 9
+        assert kernel == (1 << scale) // denominator
+
     @pytest.mark.parametrize(
         "nums, dens, weight, x",
         [
@@ -418,8 +454,9 @@ class TestParametricExcess:
 # of the bound, terms_used), recorded with mpmath 1.3.0.  A change that moves
 # any of these bits is a declared output change: re-record the entry and
 # state the old and new tuples, with each new value inside the old bound.
-# All four were last re-recorded when every numeric path moved onto one
-# self-rescaling fixed-point recurrence.
+# All four were re-recorded when every numeric path moved onto one
+# self-rescaling fixed-point recurrence; unit_weighted and disk_weighted
+# again when every kernel started at full width.
 _PIN_WEIGHT = build_Q(ParamPairs([(F(1, 2), 2)]), F(5, 2), F(3, 2))
 PINNED = {
     "unit_plain": (
@@ -432,15 +469,15 @@ PINNED = {
     "unit_weighted": (
         WeightedSeriesSpec([F(1, 4), F(7, 3)], [F(15, 2)], _PIN_WEIGHT, 1),
         dict(precision=50, tol=1e-30),
-        (0, 187054318636055028583259963880647261350251475585284536397784248076842965571, -246, 247),
-        (0, 2147653675439613529334007945274699138556680075100573716245324677988815470959, -360, 251),
+        (0, 748217274544220114333039855522589045401005902341138145591136937658878840861, -248, 249),
+        (0, 2147653675439613529334007944138467990370101190993438401794438419240457339247, -360, 251),
         4097,
     ),
     "disk_weighted": (
         WeightedSeriesSpec([F(1, 4), F(7, 3)], [F(3, 2)], _PIN_WEIGHT, F(-1, 2)),
         dict(precision=40, tol=1e-30),
-        (0, 461439063579377368653827883286523393510186528283521, -169, 169),
-        (0, 639662813338603461017893364570276104763955619, -249, 149),
+        (0, 461439063579377368653827883286523393510186528284067, -169, 169),
+        (0, 2558651253354413816938426669601191326635016619, -251, 151),
         112,
     ),
     "levin": (

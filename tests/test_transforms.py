@@ -205,6 +205,27 @@ class TestContraction:
         assert contracted.kernel_denominators == (F(2, 5),)
         assert contracted.weight.coefficients == (F(1),)
 
+    @pytest.mark.parametrize(
+        "n, b, d, c, e, pairs, nums, dens",
+        [
+            # the numerator -5 becomes -4
+            (5, -3, F(1, 2), 2, 18, [(F(-5, 3), 1)], (-4, 4, F(1, 2)), (2, F(-43, 2))),
+            # the denominator -3 becomes -6, shielded by the numerator -6
+            (3, -3, F(5, 2), -3, 12, [(2, 3), (6, 3)], (-3, -6, F(5, 2)), (-6, F(-23, 2))),
+            # the numerators -2 and -3 step up, the denominator -3 steps down
+            (2, -1, -2, -3, 8, [(4, 2)], (-1, -4, -2), (-4, -11)),
+        ],
+    )
+    def test_contraction_across_a_shield(self, n, b, d, c, e, pairs, nums, dens):
+        # trades that move nonpositive-integer parameters keep the target
+        # valid (no rollback exists) and its exact value unchanged
+        target = thomae_terminating(n, b, d, c, e, ParamPairs(pairs)).target
+        contracted = contract_pairs(target)
+        assert contracted.kernel_numerators == tuple(map(F, nums))
+        assert contracted.kernel_denominators == tuple(map(F, dens))
+        assert contracted.weight.degree < target.weight.degree
+        assert eval_terminating(contracted) == eval_terminating(target)
+
     def test_value_preserved_on_denominator_contraction(self):
         t = thomae(A, B, F(1), C, F(8), QUAD_PAIRS)
         contracted = contract_pairs(t.target)
