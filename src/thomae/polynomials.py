@@ -4,9 +4,9 @@ weight polynomials of the transformation theorems.
 The two weight families built here are degree-m polynomials normalized to
 value 1 at the origin, built over the integers in the rising-factorial
 basis; their nonvanishing zeros become the shifted parameter pairs of a
-transformed series.  ``find_zeros`` recovers those zeros numerically as
-companion-matrix eigenvalues (``numpy.roots``) and polishes the ones that
-miss its tolerance.
+transformed series.  ``find_zeros`` recovers those zeros numerically by the
+Aberth-Ehrlich iteration in complex floats, started from the Newton polygon,
+and polishes the ones that miss its tolerance.
 """
 
 from __future__ import annotations
@@ -266,15 +266,18 @@ class ZeroSet:
     Zeros are sorted by (real, imaginary) for deterministic output;
     residuals are |p(z)| / sum_i |c_i| |z|^i, i.e. relative to the
     coefficient magnitude at the point.  ``converged`` says whether every
-    residual is within the requested tolerance.
+    residual is within the requested tolerance; ``iterations`` is the
+    number of Aberth sweeps taken.
     """
 
     zeros: tuple[complex, ...]
     residuals: tuple[float, ...]
     converged: bool
+    iterations: int
 
 
 POLISH_DIGITS, POLISH_STEPS = 40, 3
+MAX_SWEEPS = 200
 
 
 def _polish(p: RationalPolynomial, zs: list[complex], misses: list[int]) -> None:
@@ -319,8 +322,77 @@ def _float_coefficients(p: RationalPolynomial, e: int) -> list[float]:
     return [(n << up) / (d << down) for n, d in scaled]
 
 
+def _exact_residual(p: RationalPolynomial, z: complex) -> float:
+    """|p(z)| / sum_i |c_i| |z|^i at a float z, on p's integer coefficients.
+
+    z = (a + b i) / q with q a power of two, so q^n D p(z) is the Gaussian
+    integer sum_j N_j (a + b i)^j q^(n-j); the sum of magnitudes takes |a + b i|
+    to 64 fractional bits.
+    """
+    _, coeffs = p._integer_form
+    (a, qa), (b, qb) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    q = max(qa, qb)
+    a, b = a * (q // qa), b * (q // qb)
+    modulus, wide = math.isqrt((a * a + b * b) << 128), q << 64
+    x = y = size = 0
+    for k, c in enumerate(coeffs):
+        x, y = x * a - y * b + c * q**k, x * b + y * a
+        size = size * modulus + abs(c) * wide**k
+    return math.isqrt((x * x + y * y) << (128 * p.degree)) / size
+
+
+def _polygon_starts(p: RationalPolynomial, e: int) -> list[complex]:
+    """Starting points for the zeros of p(2^e u), from its Newton polygon.
+
+    The upper convex hull of the points (i, log2 |c_i 2^(e i)|), read from
+    the exact coefficients' bit lengths, has an edge from i to j for every
+    group of j - i zeros of about the modulus (|c_i| / |c_j|)^(1/(j-i))
+    (Bini, Numer. Algorithms 1996).  Each edge gets one circle of j - i
+    starts at that radius, turned by 2 pi i / n + 0.7, so that no start is
+    real and no two circles line up.
+    """
+    n = p.degree
+    hull: list[tuple[int, int]] = []
+    for i, c in enumerate(p.coefficients):
+        if not c:
+            continue
+        y = _log2(c) + e * i
+        while len(hull) > 1 and (
+            (hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+            >= (hull[-1][1] - hull[-2][1]) * (i - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append((i, y))
+    starts = []
+    for (i, lo), (j, hi) in zip(hull, hull[1:]):
+        radius = 2.0 ** max(min((lo - hi) / (j - i), 1023), -1074)
+        angles = (2 * math.pi * (k / (j - i) + i / n) + 0.7 for k in range(j - i))
+        starts += (complex(radius * math.cos(a), radius * math.sin(a)) for a in angles)
+    return starts
+
+
+def _conjugate_pairs(zs: list[complex]) -> None:
+    """Make the zeros of a real polynomial symmetric, in place.
+
+    Each zero is matched with the nearest conjugate image among the zeros;
+    where two zeros choose each other they become exact conjugates x +- iy,
+    and a zero that chooses itself becomes real.
+    """
+    partner = [min(range(len(zs)), key=lambda j: abs(z.conjugate() - zs[j])) for z in zs]
+    for i, j in enumerate(partner):
+        if partner[j] != i or j < i:
+            continue
+        z, w = zs[i], zs[j]
+        x = (z.real + w.real) / 2
+        if i == j:
+            zs[i] = complex(x, 0.0)
+        else:
+            y = math.copysign((abs(z.imag) + abs(w.imag)) / 2, z.imag)
+            zs[i], zs[j] = complex(x, y), complex(x, -y)
+
+
 def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
-    """All complex zeros of ``p`` as eigenvalues of its companion matrix.
+    """All complex zeros of ``p`` by the Aberth-Ehrlich iteration.
 
     Requires degree >= 1, p(0) != 0 and tol > 0.  The coefficients are
     divided by a power of two taken from the largest before they become
@@ -328,23 +400,29 @@ def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
     constant coefficient underflows to 0.0 at that scale, or the leading one
     is subnormal, the zeros are sought in u = t / 2^e instead, with
     e = log2 |c_0 / c_n| / n rounded, which brings the leading and constant
-    coefficients of p(2^e u) to the same size.  If either still misses, or 2^e or a zero is not a
-    finite nonzero float, p is rejected.  Every polynomial whose
-    coefficients fit at e = 0 keeps e = 0.
+    coefficients of p(2^e u) to the same size.  If either still misses, or
+    2^e or a zero is not a finite nonzero float, p is rejected.  Every
+    polynomial whose coefficients fit at e = 0 keeps e = 0.
 
-    The zeros come from ``numpy.roots`` on the float coefficients in u,
-    which is backward stable in them (Edelman and Murakami, Math. Comp.
-    1995), and are reported as z = 2^e u.  The relative residual of z is the
-    same ratio taken in u.  Each zero whose relative residual exceeds
-    ``tol`` is then polished (``_polish``, on the exact coefficients in t);
-    a set in which every zero already meets ``tol`` is returned as numpy
-    gave it.  If a residual still exceeds ``tol`` a NonConvergenceError
-    carrying the zeros is raised.  For |u| > 1 the residual is the same
-    ratio divided by |u|^n, on the reversed coefficients at 1/u, so no power
-    of |u| overflows.
+    The zeros of the float coefficients in u are found by Gauss-Seidel
+    Aberth sweeps (Aberth, Math. Comp. 1973; Ehrlich, CACM 1967) in complex
+    floats, started from the Newton polygon (``_polygon_starts``).  Each
+    zero u is moved by N / (1 - N sum_j 1 / (u - u_j)), N = p / p', until its
+    relative residual is within 4 n 2^-53, and then for as long as the
+    residual still falls and the step is above the rounding of u; of the
+    last two places the one with the smaller residual is kept.  The sweeps
+    stop when every zero has stopped, or after MAX_SWEEPS.  For |u| > 1,
+    p / p' and the residual are evaluated on the reversed coefficients at
+    1 / u, so no power of |u| overflows.  The coefficients are real, so the
+    zeros are then made exact conjugate pairs and real zeros
+    (``_conjugate_pairs``), and reported as z = 2^e u.
+
+    The relative residual of z is the same ratio taken in u; where float
+    rounding makes it 0.0, it is recomputed exactly (``_exact_residual``).
+    Each zero whose relative residual exceeds ``tol`` is then polished
+    (``_polish``, on the exact coefficients in t).  If a residual still
+    exceeds ``tol`` a NonConvergenceError carrying the zeros is raised.
     """
-    import numpy as np  # only zero finding and the oracle need numpy
-
     positive_tolerance(tol)
     if p.is_zero() or p.degree < 1:
         raise PreconditionError("degenerate_polynomial", "need degree >= 1")
@@ -352,8 +430,8 @@ def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
         raise PreconditionError("degenerate_polynomial", "polynomial vanishes at 0")
 
     def unfit(cs: list[float]) -> bool:
-        # numpy.roots divides by the leading coefficient, which overflows
-        # once it is below 2^-1022, the least normal float
+        # a subnormal leading coefficient has lost bits, and with them the
+        # zeros of largest modulus that it decides
         return cs[0] == 0 or abs(cs[-1]) < 2.0**-1022
 
     e = 0
@@ -368,26 +446,74 @@ def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
             "the constant coefficient underflows to 0.0, the leading one is subnormal, "
             "or 2^e is outside the float range",
         )
+    n = p.degree
+    backward = [(c, abs(c)) for c in coeffs]
+    forward = backward[::-1]
+
+    def horner(u: complex) -> tuple[complex, complex, float]:
+        """p, p' and sum |c_i| |x|^i at x = u, or for |u| > 1 those of the
+        reversed coefficients at x = 1 / u."""
+        cs, x = (forward, u) if abs(u) <= 1 else (backward, 1 / u)
+        value, slope, size, ax = 0j, 0j, 0.0, abs(x)
+        for c, magnitude in cs:
+            slope = slope * x + value
+            value = value * x + c
+            size = size * ax + magnitude
+        return value, slope, size
 
     def relative_residual(z: complex) -> float:
-        cs, u = coeffs, z / scale  # p(t) and sum |c_i| |t|^i equal their forms in u
-        if abs(u) > 1:  # the same ratio divided by |u|^n: reversed coefficients at 1/u
-            cs, u = coeffs[::-1], 1 / u
-        val = 0j
-        for c in reversed(cs):
-            val = val * u + c
-        return abs(val) / sum(abs(c) * abs(u) ** i for i, c in enumerate(cs))
+        value, _, size = horner(z / scale)  # p(t) and sum |c_i| |t|^i equal their forms in u
+        # 0.0 claims an exact zero of p, and float rounding can cancel to it elsewhere
+        return abs(value) / size or _exact_residual(p, z)
 
-    zs = [complex(u.real * scale, u.imag * scale) for u in map(complex, np.roots(coeffs[::-1]))]
+    us = _polygon_starts(p, e)
+    floor = 4 * n * 2.0**-53
+    last = [math.inf] * n  # residual where each zero was last stepped from; -1 when done
+    kept = list(us)
+    active = list(range(n))
+    sweeps = 0
+    while active and sweeps < MAX_SWEEPS:
+        sweeps += 1
+        for i in active:
+            u = us[i]
+            value, slope, size = horner(u)
+            residual = abs(value) / size
+            if not value or floor >= residual >= last[i]:
+                if residual > last[i]:
+                    us[i] = kept[i]
+                last[i] = -1.0
+                continue
+            last[i], kept[i] = residual, u
+            if abs(u) <= 1:
+                ratio = slope / value  # p'/p at u
+            else:  # p(u) = u^n q(1/u), so p'/p = (n - q'/(u q)) / u
+                ratio = (n - slope / (u * value)) / u
+            try:
+                pull = ratio - sum(1 / (u - w) for j, w in enumerate(us) if j != i)
+            except ZeroDivisionError:  # another zero sits exactly at u
+                continue
+            if not pull:
+                continue
+            step = 1 / pull
+            if math.isfinite(step.real) and math.isfinite(step.imag):
+                us[i] = u - step
+            if residual <= floor and abs(step) <= abs(u) * 2.0**-53:
+                last[i] = -1.0  # the step is below the rounding of u
+        active = [i for i in active if last[i] >= 0]
+    _conjugate_pairs(us)
+    zs = [complex(u.real * scale, u.imag * scale) for u in us]
     if not all(z and math.isfinite(z.real) and math.isfinite(z.imag) for z in zs):
         raise PreconditionError("degenerate_polynomial", "a zero leaves the float range")
-    misses = [i for i, z in enumerate(zs) if relative_residual(z) > tol]
+    residuals = [relative_residual(z) for z in zs]
+    misses = [i for i, r in enumerate(residuals) if r > tol]
     if misses:
         _polish(p, zs, misses)
-    zs.sort(key=lambda z: (z.real, z.imag))
-    residuals = tuple(relative_residual(z) for z in zs)
+        for i in misses:
+            residuals[i] = relative_residual(zs[i])
+    pairs = sorted(zip(zs, residuals), key=lambda pair: (pair[0].real, pair[0].imag))
+    zs, residuals = [z for z, _ in pairs], tuple(r for _, r in pairs)
     converged = all(r <= tol for r in residuals)
-    result = ZeroSet(tuple(zs), residuals, converged)
+    result = ZeroSet(tuple(zs), residuals, converged, sweeps)
     if not converged:
         raise NonConvergenceError(
             f"zeros miss tolerance {tol}: worst residual {max(residuals):.3e}",

@@ -428,10 +428,26 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_import_leaves_numpy_unloaded():
-    # only the zero finder and the quadrature oracle import numpy, when they run
+    # only the quadrature oracle imports numpy, when it runs
     code = "import sys, thomae.cli; assert 'numpy' not in sys.modules, 'numpy was imported'"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_zero_commands_leave_numpy_unloaded():
+    # poly and transform print weight zeros, which are found in Python floats
+    code = (
+        "import sys\n"
+        "from thomae import cli\n"
+        "pairs = ['--pairs', '1/3:3,2/7:2']\n"
+        "abc = ['--a', '1/4', '--b', '5/2', '--c', '3/2']\n"
+        "assert cli.main(['poly', '--kind', 'qhat', *abc, *pairs]) == 0\n"
+        "assert cli.main(['transform', '--theorem', 'euler2', *abc, '--x', '3/10', *pairs]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("residual") == 10
 
 
 class TestJsonRoundTrip:
@@ -468,8 +484,8 @@ class TestJsonRoundTrip:
 # Full --json reports (exit code, stdout, stderr) of `transform` for every
 # theorem with --contract, `poly` for every kind, and one call per theorem
 # that violates every condition the theorem can violate; then the text
-# reports of one `transform --contract` and one `eval` call.  The zeros and
-# prefactors in them are mpmath 1.3.0 values.
+# reports of one `transform --contract` and one `eval` call.  The prefactors
+# in them are mpmath 1.3.0 values.
 PINS = json.loads((Path(__file__).parent / "data" / "cli_pins.json").read_text())
 
 

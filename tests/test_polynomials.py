@@ -16,6 +16,7 @@ from thomae.polynomials import (
     RationalPolynomial,
     _float_coefficients,
     _polish,
+    _polygon_starts,
     build_G,
     build_Q,
     build_Qhat,
@@ -273,7 +274,7 @@ class TestFindZeros:
     @pytest.mark.parametrize("m", [16, 24, 32, 96])
     @pytest.mark.parametrize("kind", ["q", "qhat"])
     def test_high_degree_weights(self, kind, m):
-        # at m = 96 six of q's companion-matrix zeros miss 1e-13 until polished
+        # every zero meets 1e-13 as the Aberth sweeps leave it
         pp = ParamPairs([(F(1, 3), m // 2), (F(2, 7), m // 2)])
         q = build_Q(pp, B, C) if kind == "q" else build_Qhat(pp, A, B, C)
         zs = find_zeros(q)
@@ -333,18 +334,84 @@ class TestFindZeros:
                 assert abs(r - exact) <= 1e-15
 
     def test_nonconvergence_at_m_128_reports_finite_residuals(self):
-        # eleven zeros still miss 1e-13 after the polish; the largest has
-        # modulus above 600, where |z|^i overflowed, yet each residual is finite
+        # 1e-18 is below the rounding of a float zero, so zeros still miss
+        # it after the polish; the largest has modulus above 600, where |z|^i
+        # overflowed, yet each residual is finite
         pp = ParamPairs([(F(1, 3), 64), (F(2, 7), 64)])
         with pytest.raises(NonConvergenceError) as err:
-            find_zeros(build_Q(pp, B, C))
+            find_zeros(build_Q(pp, B, C), tol=1e-18)
         best = err.value.best
         assert not best.converged and len(best.zeros) == 128
         assert max(abs(z) for z in best.zeros) > 100
         assert all(math.isfinite(r) for r in best.residuals)
-        assert 1e-13 < max(best.residuals) < 1e-10
+        assert 1e-18 < max(best.residuals) < 1e-10
         assert f"worst residual {max(best.residuals):.3e}" in str(err.value)
         assert err.value.history == best.residuals
+
+    @pytest.mark.parametrize("kind", ["q", "qhat"])
+    def test_weights_at_m_128_converge(self, kind):
+        pp = ParamPairs([(F(1, 3), 64), (F(2, 7), 64)])
+        q = build_Q(pp, B, C) if kind == "q" else build_Qhat(pp, A, B, C)
+        zs = find_zeros(q)
+        assert len(zs.zeros) == 128
+        assert zs.converged and all(r <= 1e-13 for r in zs.residuals)
+
+    # worst relative error of numpy.roots' zeros, from the companion matrix
+    # of the same float coefficients, against the same reference
+    COMPANION_ERRORS = {
+        "qhat": {8: 7.3e-13, 12: 3.5e-10, 16: 2.0e-7, 20: 3.9e-4, 24: 1.0e-1},
+        "q": {8: 3.1e-14, 12: 1.1e-13, 16: 2.6e-14, 20: 7.9e-13, 24: 7.8e-13},
+    }
+
+    @pytest.mark.parametrize("m", [8, 12, 16, 20, 24])
+    @pytest.mark.parametrize("kind", ["q", "qhat"])
+    def test_forward_error_against_reference_zeros(self, kind, m):
+        # the residual proves nothing about where a zero is; these weights'
+        # real zeros near -m/2 are ill-conditioned, so measure the distance to
+        # the zeros of the exact coefficients at 80 digits
+        pp = ParamPairs([(F(1, 3), m // 2), (F(2, 7), m // 2)])
+        q = build_Q(pp, B, C) if kind == "q" else build_Qhat(pp, A, B, C)
+        zs = find_zeros(q).zeros
+        with mpmath.workdps(80):
+            cs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(q.coefficients)]
+            reference = [complex(z) for z in mpmath.polyroots(cs, maxsteps=200, extraprec=200)]
+        worst = max(
+            max(min(abs(z - w) for w in zs) / abs(z) for z in reference),
+            max(min(abs(z - w) for w in reference) / abs(z) for z in zs),
+        )
+        assert worst <= self.COMPANION_ERRORS[kind][m]
+
+    def test_starts_on_the_newton_polygon(self):
+        # (t^2 + 2^-80)(t^2 + 1)(t^2 + 2^80): three hull edges, one circle of
+        # two starts on each, at the zeros' moduli to within the factor 2
+        # that bit lengths allow; no start is real
+        p = RationalPolynomial([1, 0, 2**80 + 1 + F(1, 2**80), 0, 2**80 + 1 + F(1, 2**80), 0, 1])
+        starts = sorted(_polygon_starts(p, 0), key=abs)
+        assert len(starts) == 6
+        for pair, modulus in zip((starts[:2], starts[2:4], starts[4:]), (2.0**-40, 1.0, 2.0**40)):
+            assert all(modulus / 2 <= abs(z) <= modulus * 2 for z in pair)
+        assert all(z.imag for z in starts)
+
+    def test_zeros_on_many_scales(self):
+        # zeros +-10^(5k), k < 10: the polygon gives each its own circle, so
+        # a few sweeps suffice; from one circle of starts it took 61
+        roots = [F(-10) ** (5 * k) for k in range(10)]
+        coeffs = [F(1)]
+        for root in roots:
+            coeffs = [b - root * a for a, b in zip(coeffs + [0], [0] + coeffs)]
+        zs = find_zeros(RationalPolynomial(coeffs))
+        assert zs.converged and zs.iterations <= 8
+        for z, root in zip(zs.zeros, sorted(roots)):
+            assert z.imag == 0 and abs(z.real - root) <= 1e-15 * abs(root)
+
+    def test_far_zero_is_stepped_on_reversed_coefficients(self):
+        # (t - 2^70)(t^18 + 1): at t = 2^70 the term t^19 alone is 2^1260 times
+        # the largest coefficient, so p / p' there must come from the reversed
+        # coefficients at 1 / t
+        p = RationalPolynomial([-(2**70), 1] + [0] * 16 + [-(2**70), 1])
+        zs = find_zeros(p)
+        assert zs.converged and abs(zs.zeros[-1] - 2.0**70) <= 1e-15 * 2.0**70
+        assert all(abs(abs(z) - 1) <= 1e-15 for z in zs.zeros[:-1])
 
     def test_coefficients_near_float_limit_get_true_residuals(self):
         # sum |c_i| |z|^i would overflow at 1e308; scaled by a power of two
