@@ -5,8 +5,7 @@ The two weight families built here are degree-m polynomials normalized to
 value 1 at the origin, built over the integers in the rising-factorial
 basis; their nonvanishing zeros become the shifted parameter pairs of a
 transformed series.  ``find_zeros`` recovers those zeros numerically by the
-Aberth-Ehrlich iteration in complex floats, started from the Newton polygon,
-and polishes the ones that miss its tolerance.
+Aberth-Ehrlich iteration in complex floats, started from the Newton polygon.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-from mpmath import mp
 
 from .errors import (
     ConditionCheck, NonConvergenceError, PreconditionError, enforce, positive_tolerance,
@@ -276,29 +273,7 @@ class ZeroSet:
     iterations: int
 
 
-POLISH_DIGITS, POLISH_STEPS = 40, 3
 MAX_SWEEPS = 200
-
-
-def _polish(p: RationalPolynomial, zs: list[complex], misses: list[int]) -> None:
-    """Move each zero zs[i], i in ``misses``, by a few Newton steps at
-    POLISH_DIGITS digits on the exact coefficients, in place.
-
-    A zero keeps its new place only if it moved less than half the distance
-    to its nearest neighbour in ``zs``, so no two zeros can merge.
-    """
-    with mp.workdps(POLISH_DIGITS):
-        coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(p.coefficients)]
-        for i in misses:
-            nearest = min((abs(zs[i] - z) for j, z in enumerate(zs) if j != i), default=math.inf)
-            z = mp.mpc(zs[i])
-            for _ in range(POLISH_STEPS):
-                value, slope = mp.polyval(coeffs, z, derivative=True)
-                if not slope:
-                    break
-                z -= value / slope
-            if abs(complex(z) - zs[i]) < nearest / 2:
-                zs[i] = complex(z)
 
 
 def _log2(c: Fraction) -> int:
@@ -419,9 +394,10 @@ def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
 
     The relative residual of z is the same ratio taken in u; where float
     rounding makes it 0.0, it is recomputed exactly (``_exact_residual``).
-    Each zero whose relative residual exceeds ``tol`` is then polished
-    (``_polish``, on the exact coefficients in t).  If a residual still
-    exceeds ``tol`` a NonConvergenceError carrying the zeros is raised.
+    If a residual exceeds ``tol`` a NonConvergenceError carrying the zeros
+    is raised.  The zeros are stepped, judged and reported on the same float
+    coefficients, so a tol below 4 n 2^-53, the sweeps' own floor, is met
+    only where float rounding allows.
     """
     positive_tolerance(tol)
     if p.is_zero() or p.degree < 1:
@@ -505,11 +481,6 @@ def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
     if not all(z and math.isfinite(z.real) and math.isfinite(z.imag) for z in zs):
         raise PreconditionError("degenerate_polynomial", "a zero leaves the float range")
     residuals = [relative_residual(z) for z in zs]
-    misses = [i for i, r in enumerate(residuals) if r > tol]
-    if misses:
-        _polish(p, zs, misses)
-        for i in misses:
-            residuals[i] = relative_residual(zs[i])
     pairs = sorted(zip(zs, residuals), key=lambda pair: (pair[0].real, pair[0].imag))
     zs, residuals = [z for z, _ in pairs], tuple(r for _, r in pairs)
     converged = all(r <= tol for r in residuals)

@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 from mpmath import mp, mpf
 
-from .errors import PreconditionError, positive_tolerance
+from .errors import NonConvergenceError, PreconditionError, positive_tolerance
 from .exact import RationalLike, as_rational, hypergeometric_terms, nonpositive_integer, term_ratios
 from .polynomials import RationalPolynomial
 
@@ -463,17 +463,11 @@ def _sum_unit_argument(
     budget's zeta values are computed once and shared by the tail fit and
     its lower-order check.
     """
-    s = spec.excess()
-    if s <= 0:
-        raise PreconditionError(
-            "divergent", f"unit-argument series needs positive excess, got {s}"
-        )
     start = max(128, math.floor(8 * _max_param(spec)) + 16)
     with mp.workdps(precision + 25):
-        sums = _fixed_point_sums(spec, mp.prec)
         if max_terms < start:
-            total, _, _, _, _, scale = next(islice(sums, max_terms + 1, None))
-            return EvalResult(mp.ldexp(mpf(total), -scale), mp.inf, max_terms + 1)
+            return _unbounded_partial_sum(spec, max_terms)
+        sums = _fixed_point_sums(spec, mp.prec)
         budgets = [start]
         while budgets[-1] < max_terms:
             budgets.append(min(max_terms, 2 * budgets[-1]))
@@ -483,6 +477,7 @@ def _sum_unit_argument(
             for order in _fit_orders(budget)
             for k in _fit_nodes(budget, order)
         }
+        s = spec.excess()
         s_mp = mpf(s.numerator) / s.denominator
         tol_num, tol_den = tol.as_integer_ratio()
         best: Optional[EvalResult] = None
@@ -509,16 +504,35 @@ def _sum_unit_argument(
         return best
 
 
-def _levin_unit_argument(spec: AnySeries, precision: int, count: int) -> EvalResult:
+def _unbounded_partial_sum(spec: AnySeries, max_terms: int) -> EvalResult:
+    """The sum of max_terms + 1 terms at the current mp.prec, with an infinite
+    bound: what a unit-argument path returns below its least term count."""
+    sums = _fixed_point_sums(spec, mp.prec)
+    total, _, _, _, _, scale = next(islice(sums, max_terms + 1, None))
+    return EvalResult(mp.ldexp(mpf(total), -scale), mp.inf, max_terms + 1)
+
+
+def _levin_unit_argument(spec: AnySeries, precision: int, max_terms: int) -> EvalResult:
     """Optional sequence acceleration for unit argument (cross-check path).
 
     The transform peaks at moderate order and loses accuracy past it, so
-    the input stays short; the error estimate compares two orders.
+    the input stays short, 24 to 56 terms; the error estimate compares two
+    orders.  Below 24 terms no transform is made, and the sum of
+    max_terms + 1 terms comes with an infinite bound.  The transform
+    divides by each term, so a term that is 0 at the working precision
+    raises NonConvergenceError.
     """
-    count = max(24, min(count, 56))
     with mp.workdps(2 * precision + 20):
+        if max_terms < 24:
+            return _unbounded_partial_sum(spec, max_terms)
+        count = min(max_terms, 56)
         sums = islice(_fixed_point_sums(spec, mp.prec), 1, count + 1)
         partials = [mp.ldexp(mpf(total), -scale) for total, _, _, _, _, scale in sums]
+        zero = next((k for k, (a, b) in enumerate(zip(partials, [0] + partials)) if a == b), None)
+        if zero is not None:
+            raise NonConvergenceError(
+                f"levin acceleration divides by each term, and term {zero} is 0"
+            )
         transform = mp.levin(method="levin", variant="u")
         value, _ = transform.update_psum(partials)
         short = mp.levin(method="levin", variant="u")
@@ -574,6 +588,11 @@ def eval_numeric(
                 "argument_out_of_range",
                 "unit-argument evaluation expects one more numerator than "
                 "denominator parameter",
+            )
+        s = spec.excess()
+        if s <= 0:
+            raise PreconditionError(
+                "divergent", f"unit-argument series needs positive excess, got {s}"
             )
         if acceleration == "levin":
             return _levin_unit_argument(spec, precision, max_terms)

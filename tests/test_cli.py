@@ -179,6 +179,27 @@ class TestEvalCommand:
         assert cli.main(argv) == 0
         assert "abs error bound: +inf\nterms used: 4\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("series", [
+        ["--numerators", "1,1", "--denominators", "1"],
+        ["--numerators", "1/2,1/2", "--denominators", "1"],
+        ["--numerators", "1/3,1/4", "--denominators", "3", "--weight", "1,1,1,1"],
+    ])
+    def test_levin_on_divergent_series_is_named_error(self, series, capsys):
+        assert cli.main(["eval", *series, "--x", "1", "--acceleration", "levin"]) == 2
+        assert capsys.readouterr().err.startswith("error[divergent]")
+
+    def test_levin_on_zero_term_is_named_error(self, capsys):
+        argv = ["eval", "--numerators", "1/3,1/4", "--denominators", "3", "--weight", "1,1",
+                "--x", "1", "--acceleration", "levin"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error[NonConvergenceError]: levin")
+
+    def test_levin_below_its_least_count_is_unbounded(self, capsys):
+        argv = ["eval", "--numerators", "1/3,1/4", "--denominators", "3", "--x", "1",
+                "--acceleration", "levin", "--max-terms", "3"]
+        assert cli.main(argv) == 0
+        assert "abs error bound: +inf\nterms used: 4\n" in capsys.readouterr().out
+
     def test_divergent_inside_disk_is_named_error(self):
         # a 2F0: rejected before summing, not after 400 000 terms
         result = run_cli("eval", "--numerators", "1/3,1/4", "--x", "1/2")

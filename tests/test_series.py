@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import thomae.series
-from thomae.errors import PreconditionError
+from thomae.errors import NonConvergenceError, PreconditionError
 from thomae.exact import ParamPairs, pochhammer, pochhammer_product
 from thomae.polynomials import RationalPolynomial, build_Q, find_zeros
 from thomae.series import (
@@ -284,6 +284,48 @@ class TestEvalNumeric:
         with mp.workdps(40):
             gap = abs(direct.value - accelerated.value)
             assert gap <= direct.abs_error_bound + accelerated.abs_error_bound
+
+    @pytest.mark.parametrize("nums, dens, weight", [
+        ([1, 1], [1], None),  # s = -1
+        ([F(1, 2), F(1, 2)], [1], None),  # s = 0
+        ([F(1, 3), F(1, 4)], [3], [1, 1, 1, 1]),  # s = -7/12, and w(-1) = 0
+    ])
+    def test_levin_rejects_divergent_series(self, nums, dens, weight):
+        # the same excess rule as the tail-fit path, checked before any sum
+        spec = (SeriesSpec(nums, dens, 1) if weight is None
+                else WeightedSeriesSpec(nums, dens, RationalPolynomial(weight), 1))
+        assert spec.excess() <= 0
+        for acceleration in (None, "levin"):
+            with pytest.raises(PreconditionError) as err:
+                eval_numeric(spec, acceleration=acceleration)
+            assert err.value.condition == "divergent"
+
+    def test_levin_zero_term_is_nonconvergence(self):
+        # w(t) = 1 + t vanishes at t = -1, so term 1 is 0, and Levin's
+        # transform divides by every term; the series itself converges
+        spec = WeightedSeriesSpec([F(1, 3), F(1, 4)], [3], RationalPolynomial([1, 1]), 1)
+        assert spec.excess() == F(17, 12)
+        with pytest.raises(NonConvergenceError, match="term 1 is 0"):
+            eval_numeric(spec, acceleration="levin")
+        assert eval_numeric(spec, tol=1e-13).abs_error_bound <= 1e-13
+
+    @pytest.mark.parametrize("max_terms", [0, 3, 23])
+    def test_levin_below_its_least_count_is_unbounded(self, max_terms):
+        # Levin reads at least 24 terms; with fewer it makes no transform,
+        # and the partial sum of max_terms + 1 terms has an infinite bound
+        spec = SeriesSpec([F(1, 3), F(1, 4)], [3], 1)
+        res = eval_numeric(spec, max_terms=max_terms, acceleration="levin")
+        assert res.abs_error_bound == mp.inf
+        assert res.terms_used == max_terms + 1
+        partial = sum(_closed_form_terms([F(1, 3), F(1, 4)], [3], None, 1, max_terms + 1))
+        with mp.workdps(80):
+            partial = mpf(partial.numerator) / partial.denominator
+            assert abs(res.value - partial) <= abs(partial) * mpf(10) ** -60
+
+    def test_levin_at_its_least_count_is_bounded(self):
+        spec = SeriesSpec([F(1, 3), F(1, 4)], [3], 1)
+        res = eval_numeric(spec, max_terms=24, acceleration="levin")
+        assert res.terms_used == 24 and res.abs_error_bound < 1e-10
 
 
 def _closed_form_terms(nums, dens, weight, x, count):
