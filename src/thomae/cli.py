@@ -62,7 +62,7 @@ _POLYNOMIALS = {
     "g": ("build_G", ("m", "k", "a", "b", "c")),
 }
 _INTEGER_KEYS = ("n", "m", "k")
-_TYPE_NAMES = {Fraction: "a rational 'p/q' or integer", int: "an integer", float: "a number"}
+_TYPE_NAMES = {Fraction: "a rational 'p/q' or integer", int: "an integer"}
 
 
 def _rational(text: str) -> str:
@@ -119,9 +119,10 @@ def _option(command: str, config: dict, key: str, kind=int, minimum=None):
     return _typed(key, config.get(key, _FLAGS[command][key][0]), kind, minimum)
 
 
-def _tolerance(command: str, config: dict) -> float:
-    """The requested tolerance, which must be positive, or invalid_input."""
-    return positive_tolerance(_option(command, config, "tol", float))
+def _tolerance(command: str, config: dict) -> Fraction:
+    """The requested tolerance, exact, or invalid_input unless it is a finite
+    positive number."""
+    return positive_tolerance(config.get("tol", _FLAGS[command]["tol"][0]))
 
 
 def _rationals(config: dict, key: str) -> list[Fraction]:
@@ -171,7 +172,7 @@ def _builder_arguments(table: dict, config: dict, family: str) -> tuple[str, dic
     return builder, kwargs
 
 
-def _zeros_payload(poly: RationalPolynomial, tol: float) -> list[dict]:
+def _zeros_payload(poly: RationalPolynomial, tol: Fraction) -> list[dict]:
     if poly.degree < 1 or poly.coefficients[0] == 0:
         return []
     zs = find_zeros(poly, tol=tol)
@@ -476,14 +477,14 @@ _FLAGS = {
     "poly": {
         "kind": ("q", {"choices": list(_POLYNOMIALS)}),
         **_builder_flags(_POLYNOMIALS),
-        "tol": (1e-13, {"type": float}),
+        "tol": (1e-13, {}),
     },
     "transform": {
         "theorem": ("thomae", {"choices": [kind.replace("_", "-") for kind in _THEOREMS]}),
         **_builder_flags(_THEOREMS),
         "contract": (False, _SWITCH),
         **_PRECISION,
-        "tol": (1e-13, {"type": float}),
+        "tol": (1e-13, {}),
     },
     "eval": {
         "numerators": ("", {"type": _rational_list}),
@@ -491,7 +492,7 @@ _FLAGS = {
         "weight": (None, {"type": _rational_list}),
         "x": (None, {"type": _rational}),
         **_PRECISION,
-        "tol": (1e-12, {"type": float}),
+        "tol": (1e-12, {}),
         "max_terms": (400_000, {"type": int}),
         "acceleration": (None, {"choices": ["levin"]}),
     },
@@ -505,7 +506,7 @@ _FLAGS = {
         "count": (20, {"type": int}),
         "x": (None, {"type": _rational}),
         "case": (None, {}),
-        "tol": (1e-10, {"type": float}),
+        "tol": (1e-10, {}),
         "budget": (40_000, {"type": int}),
         **_PRECISION,
         "strict": (False, _SWITCH),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 class ThomaeError(Exception):
@@ -55,9 +56,18 @@ def enforce(conditions: list[ConditionCheck]) -> tuple[ConditionCheck, ...]:
     return tuple(conditions)
 
 
-def positive_tolerance(tol, name: str = "tol") -> float:
-    """``tol`` as a float, or invalid_input unless it is positive (nan is not)."""
-    tol = float(tol)
-    if not tol > 0:
-        raise PreconditionError("invalid_input", f"{name} must be positive, got {tol!r}")
-    return tol
+def positive_tolerance(tol, name: str = "tol") -> Fraction:
+    """``tol`` as an exact Fraction (an int, a float's binary value, a string
+    such as "1e-480" or a Fraction), or invalid_input unless it is finite and
+    positive.  The message shows a number by its float repr, so 0 reads 0.0."""
+    try:
+        exact = Fraction(tol)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        exact = None
+    if exact is None or exact <= 0:
+        try:
+            shown = repr(float(tol))
+        except (TypeError, ValueError, OverflowError):
+            shown = repr(tol)
+        raise PreconditionError("invalid_input", f"{name} must be positive, got {shown}")
+    return exact

@@ -366,7 +366,7 @@ def _conjugate_pairs(zs: list[complex]) -> None:
             zs[i], zs[j] = complex(x, y), complex(x, -y)
 
 
-def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
+def find_zeros(p: RationalPolynomial, tol: RationalLike = 1e-13) -> ZeroSet:
     """All complex zeros of ``p`` by the Aberth-Ehrlich iteration.
 
     Requires degree >= 1, p(0) != 0 and tol > 0.  The coefficients are
@@ -399,7 +399,7 @@ def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
     coefficients, so a tol below 4 n 2^-53, the sweeps' own floor, is met
     only where float rounding allows.
     """
-    positive_tolerance(tol)
+    exact_tol = positive_tolerance(tol)
     if p.is_zero() or p.degree < 1:
         raise PreconditionError("degenerate_polynomial", "need degree >= 1")
     if p.coefficients[0] == 0:
@@ -483,11 +483,11 @@ def find_zeros(p: RationalPolynomial, tol: float = 1e-13) -> ZeroSet:
     residuals = [relative_residual(z) for z in zs]
     pairs = sorted(zip(zs, residuals), key=lambda pair: (pair[0].real, pair[0].imag))
     zs, residuals = [z for z, _ in pairs], tuple(r for _, r in pairs)
-    converged = all(r <= tol for r in residuals)
+    converged = all(r <= exact_tol for r in residuals)
     result = ZeroSet(tuple(zs), residuals, converged, sweeps)
     if not converged:
         raise NonConvergenceError(
-            f"zeros miss tolerance {tol}: worst residual {max(residuals):.3e}",
+            f"zeros miss tolerance {float(exact_tol):.3g}: worst residual {max(residuals):.3e}",
             best=result,
             history=residuals,
         )

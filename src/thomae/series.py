@@ -551,19 +551,19 @@ def eval_numeric(
     """Evaluate a series numerically with an explicit error bound.
 
     ``precision`` is the working precision in decimal digits; ``tol`` the
-    requested bound relative to max(1, |value|), kept exact when it is a
-    ``Fraction`` and taken as a float otherwise.  Terminating series are
-    summed exactly and reported with the exact value attached.  Arguments
-    must satisfy |x| < 1 (with at most one numerator beyond the
-    denominators unless x = 0), or x = 1 with positive excess.  If the bound
-    cannot be met within ``max_terms`` the best estimate is returned with
-    its (larger) bound; callers decide whether that is conclusive.
+    requested bound relative to max(1, |value|), read exactly by
+    ``positive_tolerance``.  Terminating series are summed exactly and
+    reported with the exact value attached.  Arguments must satisfy |x| < 1
+    (with at most one numerator beyond the denominators unless x = 0), or
+    x = 1 with positive excess.  If the bound cannot be met within
+    ``max_terms`` the best estimate is returned with its (larger) bound;
+    callers decide whether that is conclusive.
 
     ``acceleration="levin"`` switches the unit-argument path to Levin
     sequence acceleration (off by default; used for cross-checks).  Any
     other acceleration, or a tol that is not positive, is invalid_input.
     """
-    tol = tol if isinstance(tol, Fraction) and tol > 0 else positive_tolerance(tol)
+    tol = positive_tolerance(tol)
     if acceleration not in (None, "levin"):
         raise PreconditionError("invalid_input", f"unknown acceleration {acceleration!r}")
     n = spec.termination_index()

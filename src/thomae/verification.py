@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 from .errors import NonConvergenceError, PreconditionError, enforce, positive_tolerance
 from .exact import ParamPairs, RationalLike, as_rational
@@ -62,7 +62,7 @@ class VerificationReport:
 
 def verify_transform(
     transform: TransformResult,
-    tol: float = 1e-10,
+    tol: RationalLike = 1e-10,
     budget: int = 40_000,
     precision: int = 50,
 ) -> VerificationReport:
@@ -74,7 +74,7 @@ def verify_transform(
     allowance tol * scale + (lhs bound) + (rhs bound): a failure requires
     a discrepancy exceeding every reported uncertainty.
     """
-    positive_tolerance(tol)
+    tol = positive_tolerance(tol)
     exact_possible = (
         transform.source.termination_index() is not None
         and transform.target.termination_index() is not None
@@ -97,8 +97,7 @@ def verify_transform(
         inner_tol = tol / 8
         pref = transform.prefactor_value(precision)
         lhs_res = eval_numeric(transform.source, precision, inner_tol, budget)
-        # a prefactor beyond float range would give 0.0, which is no tolerance
-        target_tol = max(inner_tol / max(1.0, abs(float(pref))), sys.float_info.min)
+        target_tol = inner_tol / max(1, Fraction(*to_rational(abs(pref)._mpf_)))
         rhs_res = eval_numeric(transform.target, precision, target_tol, budget)
         lhs = lhs_res.value
         rhs = pref * rhs_res.value
@@ -107,8 +106,9 @@ def verify_transform(
         rhs_bound = abs(pref) * rhs_res.abs_error_bound + abs(rhs_res.value) * pref_bound
         discrepancy = abs(lhs - rhs)
         scale = max(mpf(1), abs(lhs), abs(rhs))
-        combined = mpf(tol) * scale + lhs_res.abs_error_bound + rhs_bound
-        bounds_met = (lhs_res.abs_error_bound + rhs_bound) <= mpf(tol) * scale
+        allowed = mpf(tol.numerator) / tol.denominator * scale
+        combined = allowed + lhs_res.abs_error_bound + rhs_bound
+        bounds_met = (lhs_res.abs_error_bound + rhs_bound) <= allowed
         if discrepancy > combined:
             verdict = "fail"
         elif bounds_met:
@@ -284,7 +284,7 @@ def beta_integral_oracle(
     if d <= 0:
         raise PreconditionError("d_not_positive", f"need d > 0, got {d}")
     enforce([_ed_positive(d, e)])
-    positive_tolerance(rel_tol, "rel_tol")
+    exact_tol = positive_tolerance(rel_tol, "rel_tol")
     correction_factor = None  # 1 / (2^p - 1) when the endpoint rate is known
     if (
         inner.termination_index() is None
@@ -301,7 +301,9 @@ def beta_integral_oracle(
         correction_factor = shrink / (1.0 - shrink)
 
     def settled(gap: float, value: float) -> bool:
-        return gap <= 0.5 * rel_tol * max(abs(value), 1e-300)
+        size = max(abs(value), 1e-300)
+        # a float compares exactly with a Fraction; an infinite size never settles
+        return math.isfinite(size) and 2 * gap <= exact_tol * Fraction(size)
 
     alpha = float(e - d - 1)
     beta = float(d - 1)
@@ -358,7 +360,6 @@ class CaseProfile:
     max_n: int = 6
     argument: Fraction = Fraction(3, 10)
     positive_source: bool = False
-    attempts_per_case: int = 400
 
 
 @dataclass
@@ -399,6 +400,10 @@ def _weight_small_enough(transform: TransformResult) -> bool:
     )
 
 
+# The attempt cap of :func:`generate_cases`: draws per requested case
+_ATTEMPTS_PER_CASE = 400
+
+
 def generate_cases(seed: int, profile: CaseProfile) -> GeneratedCases:
     """Deterministic rejection sampling of admissible parameter tuples.
 
@@ -410,7 +415,7 @@ def generate_cases(seed: int, profile: CaseProfile) -> GeneratedCases:
     rng = random.Random(seed)
     found: list[GeneratedCase] = []
     attempts = 0
-    cap = profile.count * profile.attempts_per_case
+    cap = profile.count * _ATTEMPTS_PER_CASE
     while len(found) < profile.count and attempts < cap:
         attempts += 1
         try:
@@ -481,28 +486,28 @@ class SweepSummary:
     failures: list[str] = field(default_factory=list)
 
 
-# The grid of :func:`terminating_sweep`: pair bases f and the values of b, d and c
+# The grid of :func:`terminating_sweep`: n, the pair bases f and their
+# shifts, and the values of b, d, c and e
+_SWEEP_N = range(7)
 _SWEEP_F = (Fraction(1, 2), Fraction(1, 3), Fraction(2))
+_SWEEP_SHIFTS = (1, 2, 3)
 _SWEEP_B = (Fraction(1, 2), Fraction(2), Fraction(-3, 2))
 _SWEEP_D = (Fraction(1, 3), Fraction(1))
 _SWEEP_C = (Fraction(5, 2), Fraction(4))
+_SWEEP_E = (Fraction(7, 2), Fraction(5), Fraction(13, 3))
 
 
-def terminating_sweep(
-    max_n: int = 6,
-    max_shift: int = 3,
-    e_grid: Sequence[RationalLike] = (Fraction(7, 2), 5, Fraction(13, 3)),
-) -> SweepSummary:
+def terminating_sweep() -> SweepSummary:
     """Exhaustive exact check of the terminating identity on a small grid.
 
-    The pairs are none or one f:shift, shift <= max_shift.  Every admissible
-    tuple must give exactly equal rationals on both sides; any discrepancy
-    is recorded verbatim.
+    The pairs are none or one f:shift.  Every admissible tuple must give
+    exactly equal rationals on both sides; any discrepancy is recorded
+    verbatim.
     """
     pair_choices = [ParamPairs()]
-    pair_choices += [ParamPairs([(f, shift)]) for f in _SWEEP_F for shift in range(1, max_shift + 1)]
+    pair_choices += [ParamPairs([(f, shift)]) for f in _SWEEP_F for shift in _SWEEP_SHIFTS]
     summary = SweepSummary(0, 0, 0)
-    grid = itertools.product(range(max_n + 1), pair_choices, _SWEEP_B, _SWEEP_D, _SWEEP_C, e_grid)
+    grid = itertools.product(_SWEEP_N, pair_choices, _SWEEP_B, _SWEEP_D, _SWEEP_C, _SWEEP_E)
     for n, pp, b, d, c, e in grid:
         try:
             transform = thomae_terminating(n, b, d, c, e, pp)

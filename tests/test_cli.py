@@ -3,6 +3,7 @@ round-trips, determinism, and exit codes."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from thomae import cli
+from thomae import cli, verification
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -28,6 +29,14 @@ _ZERO_FINDER_FLAGS = [
     ("transform", "--theorem", "thomae", "--a", "1/4", "--b", "5/2", "--d", "1", "--c", "3/2",
      "--e", "8", "--pairs", "1/2:2"),
 ]
+# One call of each command that takes --tol; the tests append the flag
+_TOL_COMMANDS = {
+    "eval": ("eval", "--numerators", "1/3", "--x=-1/2"),
+    "verify": ("verify", "--case", '{"kind": "euler2", "a": "330", "b": "1/3", "c": "5/2", '
+               '"x": "9/10"}'),
+    "poly": _ZERO_FINDER_FLAGS[0],
+    "transform": _ZERO_FINDER_FLAGS[1],
+}
 _ZERO_FINDER_CONFIGS = [
     ("poly", {"kind": "qhat", "a": "1/4", "b": "5/2", "c": "3/2", "pairs": [["1/2", 2]]}),
     ("transform", {"kind": "thomae", "a": "1/4", "b": "5/2", "d": "1", "c": "3/2", "e": "8",
@@ -286,7 +295,7 @@ class TestVerifyCommand:
             ("verify", "--case", '{"kind": "thomae", "a": "1/4"}'),
             ("poly", "--config", '{"kind": "q", "b": "2", "c": "7", "pairs": [[3]]}'),
             ("eval", "--config", '{"numerators": 5, "x": "1/2"}'),
-            ("eval", "--config", '{"numerators": ["1/3"], "x": "1/2", "tol": 1%s}' % ("0" * 400)),
+            ("eval", "--config", '{"numerators": ["1/3"], "x": "1/2", "tol": [1e-10]}'),
         ],
     )
     def test_malformed_json_input_is_invalid_input(self, argv, capsys):
@@ -329,6 +338,8 @@ class TestVerifyCommand:
               for flags in _ZERO_FINDER_FLAGS for tol in ("nan", "0", "-1")],
             *[(command, "--config", json.dumps(config | {"tol": tol}))
               for command, config in _ZERO_FINDER_CONFIGS for tol in (float("nan"), 0, -1)],
+            *[(*_TOL_COMMANDS[command], f"--tol={tol}")
+              for command in sorted(_TOL_COMMANDS) for tol in ("inf", "-inf", "nan")],
         ],
     )
     def test_nonpositive_tol(self, argv, capsys):
@@ -349,6 +360,35 @@ class TestVerifyCommand:
     def test_zero_count_is_an_empty_suite(self, capsys):
         assert cli.main(["verify", "--theorem", "2", "--count", "0"]) == 0
         assert capsys.readouterr().out == "summary: 0/0 passed, 0 failed, 0 inconclusive\n"
+
+    @pytest.mark.parametrize("argv", [
+        *[(*_TOL_COMMANDS[command], "--tol", "1e400") for command in sorted(_TOL_COMMANDS)],
+        ("eval", "--config", '{"numerators": ["1/3"], "x": "-1/2", "tol": 1%s}' % ("0" * 400)),
+    ])
+    def test_tol_beyond_float_range_is_valid(self, argv, capsys):
+        assert cli.main(list(argv)) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_sweep_failure_is_counted_listed_and_printed(self, monkeypatch, capsys):
+        real = verification.verify_transform
+        failed = []
+
+        def fail_first(transform, *args):
+            report = real(transform, *args)
+            if failed:
+                return report
+            failed.append(report.description)
+            return dataclasses.replace(report, verdict="fail")
+
+        monkeypatch.setattr(verification, "verify_transform", fail_first)
+        summary = verification.terminating_sweep()
+        assert (summary.failed, summary.passed) == (1, summary.admissible - 1)
+        assert summary.failures == failed
+        failed.clear()
+        assert cli.main(["verify", "--sweep-small"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(" passed, 1 failed (exact, zero tolerance)")
+        assert lines[1:] == [f"  FAILED: {failed[0]}"]
 
 
 @pytest.mark.parametrize(
@@ -417,6 +457,9 @@ class TestFlagTable:
              {"case": {"kind": "thomae"}, **_VERIFY_DEFAULTS}),
             (("verify", "--case", "", "--count", "3"),
              {"theorem": "2", "seed": 1, "count": 3, **_VERIFY_DEFAULTS}),
+            (("eval", "--x", "1/2", "--tol", "1e-30"),
+             {"numerators": [], "denominators": [], "x": "1/2", "precision": 50,
+              "tol": "1e-30", "max_terms": 400_000}),
         ],
     )
     def test_flags_to_inputs(self, argv, inputs):
@@ -492,6 +535,18 @@ class TestJsonRoundTrip:
         second = run_cli(args[0], "--config", json.dumps(report["inputs"]), "--json")
         assert second.returncode == first.returncode
         assert second.stdout == first.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--numerators", "1/4,7/3", "--denominators", "3/2", "--x=-1/2", "--tol", "1e-30"),
+        ("verify", "--tol", "1/10000000000", "--case", _TOL_COMMANDS["verify"][2]),
+    ])
+    def test_string_tol_replays_byte_identically(self, argv, capsys):
+        assert cli.main([*argv, "--json"]) == 0
+        first = capsys.readouterr().out
+        inputs = json.loads(first)["inputs"]
+        assert inputs["tol"] == argv[argv.index("--tol") + 1]
+        assert cli.main([argv[0], "--config", json.dumps(inputs), "--json"]) == 0
+        assert capsys.readouterr().out == first
 
     def test_rationals_serialize_exactly(self):
         result = run_cli(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -26,9 +27,10 @@ def _verify_passes(out: str) -> None:
     assert ": pass " in out, out
 
 
-def _eval_bound_below(limit: float):
+def _eval_bound_below(limit: str):
+    # compared exactly: 1e-480 is below the least float
     def check(out: str) -> None:
-        assert float(json.loads(out)["outputs"]["abs_error_bound"]) <= limit, out
+        assert Fraction(json.loads(out)["outputs"]["abs_error_bound"]) <= Fraction(limit), out
 
     return check
 
@@ -69,7 +71,19 @@ RUNGS = [
         "eval_x9_10_precision320",
         ["eval", "--numerators", "1/3,1/4", "--denominators", "3", "--x=9/10",
          "--precision", "320", "--tol", "1e-300", "--json"],
-        _eval_bound_below(1e-300), 2.0,  # 0.02 s, bound 9.55e-301
+        _eval_bound_below("1e-300"), 2.0,  # 0.02 s, bound 9.55e-301
+    ),
+    (
+        "eval_x9_10_precision500",
+        ["eval", "--numerators", "1/3,1/4", "--denominators", "3", "--x=9/10",
+         "--precision", "500", "--tol", "1e-480", "--json"],
+        _eval_bound_below("1e-480"), 2.0,  # 0.035 s, bound 9.61e-481 after 10 198 terms
+    ),
+    (
+        "euler1_m16_precision500",
+        ["verify", "--precision", "500", "--tol", "1e-480", "--case",
+         _case("euler1", (("1/3", 8), ("2/7", 8)), a="1/4", b="1/5", c="5/2", x="-1/2")],
+        _verify_passes, 2.0,  # 0.016 s
     ),
 ]
 

@@ -15,7 +15,7 @@ import pytest
 from mpmath import mp, mpf
 
 from thomae import verification
-from thomae.errors import NonConvergenceError, PreconditionError
+from thomae.errors import NonConvergenceError, PreconditionError, positive_tolerance
 from thomae.exact import ParamPairs
 from thomae.polynomials import RationalPolynomial, find_zeros
 from thomae.series import SeriesSpec, eval_numeric, gamma_ratio
@@ -26,7 +26,6 @@ from thomae.verification import (
     _series_values_on_nodes,
     beta_integral_oracle,
     generate_cases,
-    terminating_sweep,
     verify_transform,
 )
 
@@ -63,8 +62,8 @@ class TestVerifyTransform:
 
     @pytest.mark.parametrize("a", [330, 400])
     def test_prefactor_beyond_float_range(self, a):
-        # (1 - 9/10)^(c - a - b) is about 10^(a - 13/6): float(pref) is inf,
-        # and the target's tolerance is clamped to the least normal float
+        # (1 - 9/10)^(c - a - b) is about 10^(a - 13/6), beyond float range;
+        # the target's tolerance tol / 8 / |pref| stays exact far below it
         t = euler2(F(a), F(1, 3), F(5, 2), ParamPairs(), F(9, 10))
         report = verify_transform(t)
         assert abs(t.prefactor_value(50)) > 1e308
@@ -344,7 +343,7 @@ class TestGenerateCases:
         assert [x.label for x in a.cases] != [x.label for x in b.cases]
 
     def test_unsatisfiable_profile_notes(self):
-        profile = CaseProfile(kind="euler1", count=5, argument=F(3, 2), attempts_per_case=20)
+        profile = CaseProfile(kind="euler1", count=5, argument=F(3, 2))
         result = generate_cases(1, profile)
         assert result.cases == []
         assert result.note is not None and "unsatisfiable" in result.note
@@ -364,12 +363,6 @@ class TestGenerateCases:
 
 
 class TestTerminatingSweep:
-    def test_small_grid_all_exact(self):
-        summary = terminating_sweep(max_n=3, max_shift=2, e_grid=(F(7, 2), 5))
-        assert summary.admissible > 100
-        assert summary.failed == 0
-        assert summary.passed == summary.admissible
-
     def test_hundred_random_tuples_with_two_pairs_exact(self):
         generated = generate_cases(
             1234,
@@ -421,7 +414,7 @@ _TOLERANCE_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0, -1])
+@pytest.mark.parametrize("tol", [math.nan, 0, -1, math.inf, -math.inf])
 @pytest.mark.parametrize("entry", sorted(_TOLERANCE_ENTRIES))
 def test_nonpositive_tolerance_is_invalid_input(entry, tol):
     with pytest.raises(PreconditionError) as err:
@@ -429,3 +422,53 @@ def test_nonpositive_tolerance_is_invalid_input(entry, tol):
     name = "rel_tol" if entry == "beta_integral_oracle" else "tol"
     assert err.value.condition == "invalid_input"
     assert str(err.value) == f"{name} must be positive, got {float(tol)!r}"
+
+
+@pytest.mark.parametrize(
+    "tol, shown", [("nan", "nan"), ("1e-10x", "'1e-10x'"), ([1e-10], "[1e-10]")],
+    ids=["nan_string", "bad_string", "list"],
+)
+@pytest.mark.parametrize("entry", sorted(_TOLERANCE_ENTRIES))
+def test_non_numeric_tolerance_is_invalid_input(entry, tol, shown):
+    with pytest.raises(PreconditionError) as err:
+        _TOLERANCE_ENTRIES[entry](tol)
+    name = "rel_tol" if entry == "beta_integral_oracle" else "tol"
+    assert err.value.condition == "invalid_input"
+    assert str(err.value) == f"{name} must be positive, got {shown}"
+
+
+@pytest.mark.parametrize(
+    "tol, exact",
+    [
+        (1e-10, Fraction(7737125245533627, 2**86)),  # the float's binary value
+        (3, Fraction(3)),
+        (10**400, Fraction(10**400)),
+        ("1e-480", Fraction(1, 10**480)),
+        (" 2/7 ", Fraction(2, 7)),
+        (Fraction(1, 3), Fraction(1, 3)),
+    ],
+    ids=["float", "int", "int_beyond_float", "decimal_string", "rational_string", "fraction"],
+)
+def test_positive_tolerance_is_exact(tol, exact):
+    assert positive_tolerance(tol) == exact
+    assert isinstance(positive_tolerance(tol), Fraction)
+
+
+@pytest.mark.parametrize("entry", sorted(_TOLERANCE_ENTRIES))
+def test_float_tolerance_and_its_exact_value_agree(entry):
+    tol = 1e-8
+    assert _TOLERANCE_ENTRIES[entry](Fraction(tol)) == _TOLERANCE_ENTRIES[entry](tol)
+
+
+def test_verify_transform_takes_a_fraction_tolerance():
+    t = euler2(F(1, 4), F(5, 2), F(3, 2), ParamPairs([(F(1, 2), 2)]), F(3, 10))
+    report = verify_transform(t, tol=Fraction(1, 10**10))
+    assert report.verdict == "pass" and not report.exact
+    assert report.discrepancy <= report.combined_tolerance
+
+
+def test_eval_numeric_takes_a_decimal_string_tolerance():
+    spec = SeriesSpec([F(1, 3), F(1, 4)], [F(3)], F(9, 10))
+    result = eval_numeric(spec, precision=500, tol="1e-480")
+    assert result.abs_error_bound * mpf(10) ** 480 <= 1
+    assert result == eval_numeric(spec, precision=500, tol=Fraction(1, 10**480))
