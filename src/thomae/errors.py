@@ -58,16 +58,28 @@ def enforce(conditions: list[ConditionCheck]) -> tuple[ConditionCheck, ...]:
 
 def positive_tolerance(tol, name: str = "tol") -> Fraction:
     """``tol`` as an exact Fraction (an int, a float's binary value, a string
-    such as "1e-480" or a Fraction), or invalid_input unless it is finite and
-    positive.  The message shows a number by its float repr, so 0 reads 0.0."""
+    such as "1e-480" or a Fraction), or invalid_input unless it is a finite
+    positive number.  The message says what is wrong: ``must be positive``
+    for a finite value <= 0, ``must be finite`` for an infinity and ``must be
+    a number`` for nan or anything else.  It shows a number by its float
+    repr, so 0 reads 0.0."""
     try:
         exact = Fraction(tol)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         exact = None
-    if exact is None or exact <= 0:
-        try:
-            shown = repr(float(tol))
-        except (TypeError, ValueError, OverflowError):
-            shown = repr(tol)
-        raise PreconditionError("invalid_input", f"{name} must be positive, got {shown}")
-    return exact
+    if exact is not None and exact > 0:
+        return exact
+    try:
+        number = float(tol)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    infinite = number is not None and abs(number) == float("inf")
+    if exact is not None:
+        problem = "positive"
+    elif infinite:
+        problem = "finite"
+    else:
+        problem = "a number"
+    # a finite value beyond float range, such as "-1e400", is shown as given
+    shown = repr(tol) if number is None or (infinite and exact is not None) else repr(number)
+    raise PreconditionError("invalid_input", f"{name} must be {problem}, got {shown}")

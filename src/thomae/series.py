@@ -18,7 +18,8 @@ coefficients (never a bound on its zeros) ends the sum once tail plus
 rounding meets the request.  At unit argument, where terms only decay
 like a power of the index, the partial sum is completed with an
 asymptotic tail (fitted inverse powers combined with Hurwitz zeta values),
-whose start budget reads the parameters alone.
+whose start budget reads the parameters alone.  The fit is read through
+its exact integer Lagrange weights, with no linear solve.
 """
 
 from __future__ import annotations
@@ -418,24 +419,33 @@ def _fit_nodes(upto: int, order: int) -> range:
 def _fit_tail(terms, upto: int, s, zetas) -> mpf:
     """Tail sum_{k > upto} T_k from an inverse-power fit of the last terms.
 
-    Models T_k ~ k^(-1-s) * sum_i d_i (upto/k)^i, i < len(zetas), on the
-    nodes :func:`_fit_nodes` gives and completes the tail with the Hurwitz
-    zeta values zetas[i] = zeta(1 + s + i, upto + 1).  ``terms`` is the
-    node store: terms[k] is the pair (n, P) with T_k = n 2^-P, for at
+    Models T_k k^(1+s) = sum_i e_i u^i in u = 1/k, i < n = len(zetas),
+    through the n nodes k_j of :func:`_fit_nodes`, and completes the tail
+    as sum_i e_i zetas[i], with the Hurwitz zeta values
+    zetas[i] = zeta(1 + s + i, upto + 1).  The fit is read through its
+    exact Lagrange weights, with no linear solve: the basis polynomial of
+    node j is k_j^(n-1) P_j(u) / D_j, where P_j(u) = prod_{m != j}
+    (k_m u - 1) has integer coefficients and D_j = prod_{m != j}
+    (k_m - k_j) is an integer.  So the tail is sum_j y_j k_j^(n-1) / D_j
+    sum_i [u^i]P_j zetas[i], with y_j = T_{k_j} k_j^(1+s).  ``terms`` is
+    the node store: terms[k] is the pair (n, P) with T_k = n 2^-P, for at
     least every node k.
     """
-    order = len(zetas)
-    rows = []
-    rhs = []
-    for k in _fit_nodes(upto, order):
-        v = mpf(upto) / k
-        rows.append([v**i for i in range(order)])
-        rhs.append(mp.ldexp(terms[k][0], -terms[k][1]) * mpf(k) ** (1 + s))
-    coeffs = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
-    tail = mpf(0)
-    for i in range(order):
-        tail += coeffs[i] * mpf(upto) ** i * zetas[i]
-    return tail
+    nodes = _fit_nodes(upto, len(zetas))
+    full = [1]  # prod_m (k_m u - 1), lowest power first
+    for k in nodes:
+        full = [a * k - b for a, b in zip([0, *full], [*full, 0])]
+    ys, weights = [], []
+    for k in nodes:
+        # P_j = full / (k_j u - 1), by synthetic division from the lowest power
+        quotient, carry = [], 0
+        for f in full[:-1]:
+            carry = carry * k - f
+            quotient.append(carry)
+        denominator = math.prod(m - k for m in nodes if m != k)
+        ys.append(mp.ldexp(terms[k][0], -terms[k][1]) * mpf(k) ** (1 + s))
+        weights.append(mp.fdot(quotient, zetas) * k ** (len(nodes) - 1) / denominator)
+    return mp.fdot(ys, weights)
 
 
 def _sum_unit_argument(
@@ -446,10 +456,12 @@ def _sum_unit_argument(
     The term ratio approaches 1 - (1+s)/k, so the tail behaves like an
     inverse-power series; a direct cutoff alone decays only like K^(-s).
     The completion fits that inverse-power behavior and sums it exactly
-    with Hurwitz zeta values.  The bound is four times the change when the
-    fit drops three orders, plus the proven rounding of the fixed-point
-    partial sum (:func:`_fixed_point_sums`, at precision + 25 digits) and
-    of its one conversion, with the tail added, to mp.prec bits.
+    with Hurwitz zeta values; :func:`_fit_tail` reads the fit through its
+    exact integer Lagrange weights, with no linear solve.  The bound is
+    four times the change when the fit drops three orders, plus the
+    proven rounding of the fixed-point partial sum
+    (:func:`_fixed_point_sums`, at precision + 25 digits) and of its one
+    conversion, with the tail added, to mp.prec bits.
 
     The term budget starts at max(128, floor(8 max|param|) + 16), from the
     kernel parameters alone and exactly: it reads no bound on the weight's

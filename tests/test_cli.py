@@ -37,6 +37,9 @@ _TOL_COMMANDS = {
     "poly": _ZERO_FINDER_FLAGS[0],
     "transform": _ZERO_FINDER_FLAGS[1],
 }
+# What the invalid_input message says of each bad tolerance in those tests
+_TOL_PROBLEMS = {"0": "positive", "-1": "positive", "inf": "finite", "-inf": "finite",
+                 "nan": "a number"}
 _ZERO_FINDER_CONFIGS = [
     ("poly", {"kind": "qhat", "a": "1/4", "b": "5/2", "c": "3/2", "pairs": [["1/2", 2]]}),
     ("transform", {"kind": "thomae", "a": "1/4", "b": "5/2", "d": "1", "c": "3/2", "e": "8",
@@ -327,26 +330,27 @@ class TestVerifyCommand:
         assert " must be at least " in captured.err
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ("verify", "--theorem", "2", "--count", "1", "--tol", "0"),
-            ("verify", "--theorem", "3", "--sweep-small", "--tol=-1e-10"),
-            ("verify", "--config", '{"theorem": "2", "count": 1, "tol": 0}'),
-            ("eval", "--numerators", "1/3,1/4", "--denominators", "3", "--x", "1", "--tol", "0"),
-            ("eval", "--numerators", "1/3", "--x=-1/2", "--tol", "nan"),
-            *[(*flags, f"--tol={tol}")
+        "argv, problem",
+        [pytest.param(argv, problem, id=f"argv{i}") for i, (argv, problem) in enumerate([
+            (("verify", "--theorem", "2", "--count", "1", "--tol", "0"), "positive"),
+            (("verify", "--theorem", "3", "--sweep-small", "--tol=-1e-10"), "positive"),
+            (("verify", "--config", '{"theorem": "2", "count": 1, "tol": 0}'), "positive"),
+            (("eval", "--numerators", "1/3,1/4", "--denominators", "3", "--x", "1", "--tol", "0"),
+             "positive"),
+            (("eval", "--numerators", "1/3", "--x=-1/2", "--tol", "nan"), "a number"),
+            *[((*flags, f"--tol={tol}"), _TOL_PROBLEMS[tol])
               for flags in _ZERO_FINDER_FLAGS for tol in ("nan", "0", "-1")],
-            *[(command, "--config", json.dumps(config | {"tol": tol}))
+            *[((command, "--config", json.dumps(config | {"tol": tol})), _TOL_PROBLEMS[str(tol)])
               for command, config in _ZERO_FINDER_CONFIGS for tol in (float("nan"), 0, -1)],
-            *[(*_TOL_COMMANDS[command], f"--tol={tol}")
+            *[((*_TOL_COMMANDS[command], f"--tol={tol}"), _TOL_PROBLEMS[tol])
               for command in sorted(_TOL_COMMANDS) for tol in ("inf", "-inf", "nan")],
-        ],
+        ])],
     )
-    def test_nonpositive_tol(self, argv, capsys):
+    def test_nonpositive_tol(self, argv, problem, capsys):
         assert cli.main(list(argv)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error[invalid_input]: tol must be positive, got ")
+        assert captured.err.startswith(f"error[invalid_input]: tol must be {problem}, got ")
 
     @pytest.mark.parametrize("x", ["1", "1/2"])
     def test_unknown_acceleration(self, x, capsys):

@@ -25,6 +25,8 @@ from thomae.series import (
     WeightedSeriesSpec,
     _disk_tail_bound,
     _fixed_point_pass,
+    _fit_nodes,
+    _fit_tail,
     _fixed_point_sums,
     eval_numeric,
     eval_terminating,
@@ -498,21 +500,23 @@ class TestParametricExcess:
 # state the old and new tuples, with each new value inside the old bound.
 # All four were re-recorded when every numeric path moved onto one
 # self-rescaling fixed-point recurrence; unit_weighted and disk_weighted
-# again when every kernel started at full width.
+# again when every kernel started at full width; unit_plain and the
+# unit_weighted bound when the tail fit was read through exact Lagrange
+# weights instead of a linear solve.
 _PIN_WEIGHT = build_Q(ParamPairs([(F(1, 2), 2)]), F(5, 2), F(3, 2))
 PINNED = {
     "unit_plain": (
         SeriesSpec([F(1, 2), F(3, 4), F(1, 3)], [F(5, 4), F(7, 4)], 1),
         dict(precision=50, tol=1e-45),
-        (0, 3960820918201046311092111161666066422689045902547240591639770833472576585331, -251, 252),
-        (0, 332676819004283014339234475993080379027016170866598628898974412337653770303, -398, 248),
+        (0, 3960820918201046311092111161666066422689045902547240591639770833472576585323, -251, 252),
+        (0, 332676819004283014339234475987599064254645905254147635904751401480130684991, -398, 248),
         16385,  # seven budget doublings, from 128 terms
     ),
     "unit_weighted": (
         WeightedSeriesSpec([F(1, 4), F(7, 3)], [F(15, 2)], _PIN_WEIGHT, 1),
         dict(precision=50, tol=1e-30),
         (0, 748217274544220114333039855522589045401005902341138145591136937658878840861, -248, 249),
-        (0, 2147653675439613529334007944138467990370101190993438401794438419240457339247, -360, 251),
+        (0, 2147653675439613529334007944138467990370101163311005263853762934765448593775, -360, 251),
         4097,
     ),
     "disk_weighted": (
@@ -534,7 +538,7 @@ PINNED = {
 
 @pytest.mark.skipif(
     mpmath.__version__ != "1.3.0",
-    reason="the pinned bits come from mpmath 1.3.0's zeta, lu_solve and levin",
+    reason="the pinned bits come from mpmath 1.3.0's zeta, fdot and levin",
 )
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_numeric_paths_bit_identical(name):
@@ -601,6 +605,55 @@ def _has_pole(params):
 
 def _rising(x, n):
     return math.prod((x + k for k in range(n)), start=F(1))
+
+
+class TestFitTail:
+    """The unit-argument tail fit, read through exact Lagrange weights."""
+
+    @staticmethod
+    def _model_terms(coeffs, s, upto):
+        """The node store of T_k = k^(-1-s) sum_i coeffs[i] k^-i, to 400 bits."""
+        terms = {}
+        with mp.workprec(400):
+            for k in _fit_nodes(upto, len(coeffs)):
+                t = mp.fsum(mpf(c.numerator) / c.denominator / mpf(k) ** (1 + s + i)
+                            for i, c in enumerate(coeffs))
+                scale = 400 - mp.mag(t)
+                terms[k] = (int(mp.nint(mp.ldexp(t, scale))), scale)
+        return terms
+
+    @pytest.mark.parametrize("order", [3, 5, 10, 12])
+    def test_exact_on_inverse_power_terms(self, order):
+        # terms that are exactly the fit's model must give back the model's
+        # tail, sum_i e_i zeta(1 + s + i, upto + 1).  The fit extrapolates
+        # the node values from u = 1/k in [1/upto, 2/upto] to (0, 1/upto],
+        # which magnifies their rounding about 2^(2.5 order) (2^30 measured
+        # at order 12), so 8^order ulps at the working precision covers it
+        rng = random.Random(order)
+        for upto in (128, 256, 16384):
+            for s in (F(1), F(3, 2), F(7, 3)):
+                coeffs = [F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                          for _ in range(order)]
+                with mp.workprec(300):
+                    s_mp = mpf(s.numerator) / s.denominator
+                    zetas = [mp.zeta(1 + s_mp + i, upto + 1) for i in range(order)]
+                    tail = _fit_tail(self._model_terms(coeffs, s_mp, upto), upto, s_mp, zetas)
+                    with mp.workprec(400):
+                        exact = mp.fsum(mpf(c.numerator) / c.denominator * mp.zeta(1 + s_mp + i, upto + 1)
+                                        for i, c in enumerate(coeffs))
+                    assert abs(tail - exact) <= mp.ldexp(abs(exact), 3 * order - 300), (upto, s)
+
+    def test_unit_argument_needs_no_linear_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the tail fit called mpmath's linear algebra")
+
+        monkeypatch.setattr(mp, "lu_solve", refuse)
+        monkeypatch.setattr(mp, "matrix", refuse)
+        a, b, c = F(1, 3), F(1, 4), F(3)
+        res = eval_numeric(SeriesSpec([a, b], [c], 1), precision=50, tol=1e-40)
+        exact = gamma_ratio([c, c - a - b], [c - a, c - b], precision=60)
+        with mp.workdps(60):
+            assert abs(res.value - exact) <= res.abs_error_bound <= mpf(10) ** -40
 
 
 class TestDiskTailBound:

@@ -414,19 +414,25 @@ _TOLERANCE_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0, -1, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "tol, problem",
+    [pytest.param(math.nan, "a number", id="nan"), pytest.param(0, "positive", id="0"),
+     pytest.param(-1, "positive", id="-1"), pytest.param(math.inf, "finite", id="inf"),
+     pytest.param(-math.inf, "finite", id="-inf")],
+)
 @pytest.mark.parametrize("entry", sorted(_TOLERANCE_ENTRIES))
-def test_nonpositive_tolerance_is_invalid_input(entry, tol):
+def test_nonpositive_tolerance_is_invalid_input(entry, tol, problem):
     with pytest.raises(PreconditionError) as err:
         _TOLERANCE_ENTRIES[entry](tol)
     name = "rel_tol" if entry == "beta_integral_oracle" else "tol"
     assert err.value.condition == "invalid_input"
-    assert str(err.value) == f"{name} must be positive, got {float(tol)!r}"
+    assert str(err.value) == f"{name} must be {problem}, got {float(tol)!r}"
 
 
 @pytest.mark.parametrize(
-    "tol, shown", [("nan", "nan"), ("1e-10x", "'1e-10x'"), ([1e-10], "[1e-10]")],
-    ids=["nan_string", "bad_string", "list"],
+    "tol, shown",
+    [("nan", "nan"), ("1e-10x", "'1e-10x'"), ([1e-10], "[1e-10]"), ("abc", "'abc'")],
+    ids=["nan_string", "bad_string", "list", "word"],
 )
 @pytest.mark.parametrize("entry", sorted(_TOLERANCE_ENTRIES))
 def test_non_numeric_tolerance_is_invalid_input(entry, tol, shown):
@@ -434,7 +440,17 @@ def test_non_numeric_tolerance_is_invalid_input(entry, tol, shown):
         _TOLERANCE_ENTRIES[entry](tol)
     name = "rel_tol" if entry == "beta_integral_oracle" else "tol"
     assert err.value.condition == "invalid_input"
-    assert str(err.value) == f"{name} must be positive, got {shown}"
+    assert str(err.value) == f"{name} must be a number, got {shown}"
+
+
+@pytest.mark.parametrize("entry", sorted(_TOLERANCE_ENTRIES))
+def test_negative_tolerance_beyond_float_range_is_shown_as_given(entry):
+    # float("-1e400") is -inf, but the value is finite, so it is not "finite"
+    # that it must be, and its float repr would misquote it
+    with pytest.raises(PreconditionError) as err:
+        _TOLERANCE_ENTRIES[entry]("-1e400")
+    name = "rel_tol" if entry == "beta_integral_oracle" else "tol"
+    assert str(err.value) == f"{name} must be positive, got '-1e400'"
 
 
 @pytest.mark.parametrize(
