@@ -578,6 +578,10 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
+    # exact rationals of any size are read and printed: lift Python's limit on
+    # int/str conversion (4300 digits; absent before 3.10.7, which has none)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)

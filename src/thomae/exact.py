@@ -34,10 +34,8 @@ def pochhammer(a: RationalLike, n: int) -> Fraction:
     if n < 0:
         raise ValueError("ascending factorial needs n >= 0")
     a = as_rational(a)
-    out = Fraction(1)
-    for i in range(n):
-        out *= a + i
-    return out
+    p, q = a.numerator, a.denominator
+    return Fraction(math.prod(range(p, p + q * n, q)), q**n)  # (a)_n = prod (p + i q) / q^n
 
 
 def nonpositive_integer(x: Fraction) -> Optional[int]:
@@ -95,22 +93,6 @@ def term_ratios(
     num_factors = zip(itertools.repeat(up), *(itertools.count(p, q) for p, q in nums))
     den_factors = zip(itertools.count(down, down), *(itertools.count(p, q) for p, q in dens))
     return zip(map(math.prod, num_factors), map(math.prod, den_factors))
-
-
-def hypergeometric_terms(
-    numerators: Iterable[RationalLike],
-    denominators: Iterable[RationalLike],
-    x: RationalLike,
-    count: int,
-) -> list[Fraction]:
-    """Terms k = 0..count-1 of the series sum_k prod_a (a)_k / (prod_b (b)_k k!) x^k.
-
-    Built from :func:`term_ratios`; callers rule out a vanishing b + k (k < count - 1).
-    """
-    terms = [Fraction(1)]
-    for num, den in itertools.islice(term_ratios(numerators, denominators, x), max(count - 1, 0)):
-        terms.append(terms[-1] * num / den)
-    return terms[:count]
 
 
 def falling_factorial(x: RationalLike, k: int) -> Fraction:
@@ -254,4 +236,6 @@ def c_via_terminating_series(pp: ParamPairs, k: int) -> Fraction:
     if k < 0 or k > pp.total_shift:
         raise ValueError(f"index {k} outside 0..{pp.total_shift}")
     nums, dens = [-k, *pp.numerator_parameters()], pp.denominator_parameters()
-    return Fraction((-1) ** k, math.factorial(k)) * sum(hypergeometric_terms(nums, dens, 1, k + 1))
+    ratios = itertools.islice(term_ratios(nums, dens, 1), k)
+    terms = itertools.accumulate(ratios, lambda term, r: term * r[0] / r[1], initial=Fraction(1))
+    return Fraction((-1) ** k, math.factorial(k)) * sum(terms)

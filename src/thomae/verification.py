@@ -149,10 +149,8 @@ def _series_values_on_nodes(inner: SeriesSpec, xs: np.ndarray) -> tuple[np.ndarr
     go on.  A series that terminates at n stops at k = n, so no denominator
     pole is reached.
 
-    The sums of |term| measure how much a node's total cancels.  The nodes
-    are positive, so a block whose coefficient ratios are all positive has
-    terms of one sign at every node and adds the magnitude of its sum; only
-    a block with a negative ratio takes a second product, powers @ |C|.
+    The sums of |term| measure how much a node's total cancels: each block
+    adds |term_k0| * (powers @ |C|), since every node is positive.
     """
     import numpy as np
 
@@ -165,7 +163,6 @@ def _series_values_on_nodes(inner: SeriesSpec, xs: np.ndarray) -> tuple[np.ndarr
     dens = [float(b) for b in inner.denominator_params]
     active = np.arange(len(xs))  # the nodes still summing
     terms = np.ones_like(xs)  # each active node's last term summed so far
-    block = np.empty(_BLOCK_ELEMENTS)  # holds the powers matrix
     k0, width = 0, _FIRST_BLOCK
     while True:
         m = min(width, _BLOCK_ELEMENTS // len(active))  # >= 1: at most _MAX_NODES nodes
@@ -178,17 +175,13 @@ def _series_values_on_nodes(inner: SeriesSpec, xs: np.ndarray) -> tuple[np.ndarr
         for b in dens:
             ratios /= b + ks
         coefficients = np.cumprod(ratios)
-        powers = block[: len(active) * m].reshape(len(active), m)
-        powers[:] = xs[active, None]
+        powers = np.repeat(xs[active, None], m, axis=1)
         np.cumprod(powers, axis=1, out=powers)
-        sums = terms * (powers @ coefficients)
-        totals[active] += sums
-        if (ratios < 0).any():
-            magnitudes[active] += np.abs(terms) * (powers @ np.abs(coefficients))
-        else:
-            magnitudes[active] += np.abs(sums)
+        totals[active] += terms * (powers @ coefficients)
+        magnitudes[active] += np.abs(terms) * (powers @ np.abs(coefficients))
         first = terms * (coefficients[0] * powers[:, 0])
         terms = terms * (coefficients[-1] * powers[:, -1])
+        del powers  # one block's matrix alive at a time
         k0 += m
         if k0 == n:
             return totals, magnitudes

@@ -7,12 +7,16 @@ import dataclasses
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
 
 from thomae import cli, verification
+from thomae.exact import ParamPairs
+from thomae.series import SeriesSpec, eval_terminating
+from thomae.transforms import thomae_terminating
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -219,6 +223,54 @@ class TestEvalCommand:
         assert result.stderr.startswith("error[divergent]")
 
 
+# Two valid commands whose exact results run past Python's 4300-digit int/str limit
+_BIG_EVAL = ("eval", "--numerators=-3000,1/3,2/7", "--denominators", "5/2,1/9", "--x=-1/2")
+_BIG_CASE = {"kind": "thomae_terminating", "n": 3000, "b": "2/5", "d": "2/7", "c": "5/2",
+             "e": "9/2", "pairs": [["1/2", 2], ["1/3", 1]]}
+
+
+@pytest.fixture
+def unlimited_digits():
+    """Lift the int/str digit limit in this process too, to parse the outputs back."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+class TestExactBeyondDigitLimit:
+    """Each command runs in a fresh interpreter, where the limit is in force."""
+
+    def test_eval_prints_the_exact_value(self, unlimited_digits):
+        expected = eval_terminating(SeriesSpec(["-3000", "1/3", "2/7"], ["5/2", "1/9"], "-1/2"))
+        assert len(str(expected)) > 4300
+        text, report = run_cli(*_BIG_EVAL), run_cli(*_BIG_EVAL, "--json")
+        assert (text.returncode, text.stderr, report.returncode) == (0, "", 0)
+        assert f"\nexact value: {expected}\n" in text.stdout
+        assert Fraction(json.loads(report.stdout)["outputs"]["exact_value"]) == expected
+
+    def test_verify_passes_and_prints_the_exact_sides(self, unlimited_digits):
+        text = run_cli("verify", "--case", json.dumps(_BIG_CASE))
+        report = run_cli("verify", "--case", json.dumps(_BIG_CASE), "--json")
+        assert (text.returncode, text.stderr, report.returncode) == (0, "", 0)
+        assert ": pass " in text.stdout
+        transform = thomae_terminating(3000, "2/5", "2/7", "5/2", "9/2",
+                                       ParamPairs([("1/2", 2), ("1/3", 1)]))
+        case = json.loads(report.stdout)["outputs"]["cases"][0]
+        assert Fraction(case["lhs"]) == Fraction(case["rhs"]) == eval_terminating(transform.source)
+
+    def test_config_reads_a_rational_of_any_size(self, unlimited_digits):
+        x = Fraction(10**5000 + 1, 3)
+        config = {"numerators": ["-2", "1/3"], "denominators": ["5/2"], "x": str(x)}
+        result = run_cli("eval", "--config", json.dumps(config), "--json")
+        assert (result.returncode, result.stderr) == (0, "")
+        expected = eval_terminating(SeriesSpec([-2, Fraction(1, 3)], [Fraction(5, 2)], x))
+        assert Fraction(json.loads(result.stdout)["outputs"]["exact_value"]) == expected
+
+
 class TestVerifyCommand:
     def test_small_sweep_passes(self):
         result = run_cli("verify", "--theorem", "3", "--sweep-small")
@@ -408,6 +460,60 @@ def test_malformed_list_flag_is_usage_error(flag, value, capsys):
     assert captured.err.endswith(
         f"thomae eval: error: argument {flag}: not a rational 'p/q' or integer: "
         f"'{value.split(',')[-1]}'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--config", "{bad"), "bad --config JSON: "),
+        (("verify", "--case", "{bad"), "bad --case JSON: "),
+        (("verify", "--theorem", "9"), "unknown theorem '9'"),
+        (("eval", "--numerators", "1/3"), "eval requires --x"),
+    ],
+)
+def test_invalid_input_messages(argv, message, capsys):
+    assert cli.main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[invalid_input]: {message}")
+
+
+def test_malformed_pair_is_usage_error(capsys):
+    argv = ["transform", "--theorem", "euler1", "--a", "1/3", "--b", "1/2", "--c", "7/2",
+            "--x", "1/2", "--pairs", "1/2"]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "thomae transform: error: argument --pairs: bad pair '1/2'; expected f:m like 1/2:2\n"
+    )
+
+
+def test_degree_zero_poly_computes_no_zeros(capsys):
+    assert cli.main(["poly", "--kind", "q", "--b", "5/2", "--c", "3/2"]) == 0
+    out = capsys.readouterr().out
+    assert "polynomial kind: q (degree 0)" in out
+    assert out.endswith("zeros: none computed\n")
+
+
+def test_exact_prefactor_is_printed(capsys):
+    argv = ["transform", "--theorem", "thomae-terminating", "--n", "2", "--b", "1/2", "--c", "5/2",
+            "--d", "1/3", "--e", "7/2", "--pairs", "1/3:1"]
+    assert cli.main(argv) == 0
+    assert "prefactor: (19/6)_2 / (7/2)_2 = 0.83774250440917108 (exact 475/567)\n" in (
+        capsys.readouterr().out
+    )
+
+
+def test_short_sampler_says_so(capsys):
+    assert cli.main(["verify", "--theorem", "euler1", "--x", "3/2", "--count", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "summary: 0/0 passed, 0 failed, 0 inconclusive\n"
+        "note: only 0 of 2 requested cases found after 800 attempts; "
+        "profile may be unsatisfiable\n"
     )
 
 

@@ -20,7 +20,6 @@ from thomae.exact import (
     c_coefficients,
     c_via_terminating_series,
     falling_factorial,
-    hypergeometric_terms,
     pochhammer,
     pochhammer_product,
     pochhammer_vanishes,
@@ -76,28 +75,6 @@ class TestPochhammer:
                 assert Fraction(n, q**k) == pochhammer_product(params, k)
 
 
-class TestHypergeometricTerms:
-    def test_against_pochhammer_products(self):
-        rng = random.Random(29)
-        draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))  # noqa: E731
-        for _ in range(40):
-            nums = [draw() for _ in range(rng.randint(0, 3))]
-            dens = [draw() + Fraction(1, 7) for _ in range(rng.randint(0, 3))]  # no poles
-            x = draw()
-            count = rng.randint(0, 12)
-            terms = hypergeometric_terms(nums, dens, x, count)
-            assert len(terms) == count
-            for k, term in enumerate(terms):
-                expected = pochhammer_product(nums, k) * x**k
-                assert term == expected / (pochhammer_product(dens, k) * math.factorial(k))
-
-    def test_terminates_and_accepts_exact_inputs(self):
-        # (-2)_k stops the series after k = 2; ints and strings are exact rationals
-        terms = hypergeometric_terms([-2, "1/2"], [3], 2, 5)
-        assert terms == [1, Fraction(-2, 3), Fraction(1, 4), 0, 0]
-        assert hypergeometric_terms([], [], 1, 1) == [1]
-
-
 class TestTermRatios:
     def test_against_the_closed_form(self):
         # num_k = x.num prod q_b prod (p_a + q_a k), den_k = x.den prod q_a (k + 1) prod (p_b + q_b k)
@@ -114,6 +91,29 @@ class TestTermRatios:
                 assert num == up * math.prod(a.numerator + a.denominator * k for a in nums)
                 assert den == down * math.prod(b.numerator + b.denominator * k for b in dens)
             assert k == 499
+
+    def test_cumulative_products_are_the_terms(self):
+        # term_k = prod_{j<k} num_j / den_j is the Pochhammer form of the series
+        rng = random.Random(29)
+        draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))  # noqa: E731
+        for _ in range(40):
+            nums = [draw() for _ in range(rng.randint(0, 3))]
+            dens = [draw() + Fraction(1, 7) for _ in range(rng.randint(0, 3))]  # no poles
+            x = draw()
+            ratios = itertools.islice(term_ratios(nums, dens, x), 12)
+            terms = itertools.accumulate(ratios, lambda t, r: t * r[0] / r[1], initial=Fraction(1))
+            for k, term in enumerate(terms):
+                expected = pochhammer_product(nums, k) * x**k
+                assert term == expected / (pochhammer_product(dens, k) * math.factorial(k))
+            assert k == 12
+
+    def test_terminates_and_accepts_exact_inputs(self):
+        # (-2)_k stops the series after k = 2: num_2 = 0; ints and strings are exact rationals
+        ratios = list(itertools.islice(term_ratios([-2, "1/2"], [3], 2), 4))
+        assert ratios == [(-4, 6), (-6, 16), (0, 30), (14, 48)]
+        terms = itertools.accumulate(ratios, lambda t, r: t * r[0] / r[1], initial=Fraction(1))
+        assert list(terms) == [1, Fraction(-2, 3), Fraction(1, 4), 0, 0]
+        assert next(term_ratios([], [], 1)) == (1, 1)
 
 
 class TestStirling2:

@@ -1,5 +1,6 @@
-"""The scale ladder: valid inputs at large total shift m, high precision
-and small tol must keep working, each rung within a time limit.
+"""The scale ladder: valid inputs at large total shift m, high precision,
+small tol and large terminating degree n must keep working, each rung
+within a time limit.
 
 Each rung is one CLI call, run in-process.  The limits are about four
 times the times measured on a 2-core VM (python 3.11, mpmath 1.3.0
@@ -19,7 +20,7 @@ import pytest
 from thomae import cli
 
 
-def _case(kind: str, pairs: tuple[tuple[str, int], ...], **params: str) -> str:
+def _case(kind: str, pairs: tuple[tuple[str, int], ...], **params: object) -> str:
     return json.dumps({"kind": kind, **params, "pairs": [list(p) for p in pairs]})
 
 
@@ -33,6 +34,12 @@ def _eval_bound_below(limit: str):
         assert Fraction(json.loads(out)["outputs"]["abs_error_bound"]) <= Fraction(limit), out
 
     return check
+
+
+def _exact_value_printed(out: str) -> None:
+    # past Python's 4300-digit limit on int/str conversion
+    (line,) = [line for line in out.splitlines() if line.startswith("exact value: ")]
+    assert len(line) > 4300, out
 
 
 # (name, argv, check of stdout, limit in seconds), with the measured time beside it
@@ -84,6 +91,17 @@ RUNGS = [
         ["verify", "--precision", "500", "--tol", "1e-480", "--case",
          _case("euler1", (("1/3", 8), ("2/7", 8)), a="1/4", b="1/5", c="5/2", x="-1/2")],
         _verify_passes, 2.0,  # 0.016 s
+    ),
+    (
+        "thomae_terminating_n3000",
+        ["verify", "--case", _case("thomae_terminating", (("1/2", 2), ("1/3", 1)),
+                                   n=3000, b="2/5", d="2/7", c="5/2", e="9/2")],
+        _verify_passes, 2.0,  # 0.18 s
+    ),
+    (
+        "eval_terminating_n3000",
+        ["eval", "--numerators=-3000,1/3,2/7", "--denominators", "5/2,1/9", "--x=-1/2"],
+        _exact_value_printed, 2.0,  # 0.06 s
     ),
 ]
 

@@ -622,6 +622,23 @@ class TestFitTail:
                 terms[k] = (int(mp.nint(mp.ldexp(t, scale))), scale)
         return terms
 
+    @staticmethod
+    def _inputs(order):
+        """(upto, s, model coefficients): nine fits of the given order."""
+        rng = random.Random(order)
+        for upto in (128, 256, 16384):
+            for s in (F(1), F(3, 2), F(7, 3)):
+                coeffs = [F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                          for _ in range(order)]
+                yield upto, s, coeffs
+
+    @staticmethod
+    def _fit(terms, upto, s, order):
+        """The tail fit at the current precision, with its zeta values."""
+        s_mp = mpf(s.numerator) / s.denominator
+        zetas = [mp.zeta(1 + s_mp + i, upto + 1) for i in range(order)]
+        return _fit_tail(terms, upto, s_mp, zetas)
+
     @pytest.mark.parametrize("order", [3, 5, 10, 12])
     def test_exact_on_inverse_power_terms(self, order):
         # terms that are exactly the fit's model must give back the model's
@@ -629,19 +646,27 @@ class TestFitTail:
         # the node values from u = 1/k in [1/upto, 2/upto] to (0, 1/upto],
         # which magnifies their rounding about 2^(2.5 order) (2^30 measured
         # at order 12), so 8^order ulps at the working precision covers it
-        rng = random.Random(order)
-        for upto in (128, 256, 16384):
-            for s in (F(1), F(3, 2), F(7, 3)):
-                coeffs = [F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
-                          for _ in range(order)]
-                with mp.workprec(300):
-                    s_mp = mpf(s.numerator) / s.denominator
-                    zetas = [mp.zeta(1 + s_mp + i, upto + 1) for i in range(order)]
-                    tail = _fit_tail(self._model_terms(coeffs, s_mp, upto), upto, s_mp, zetas)
-                    with mp.workprec(400):
-                        exact = mp.fsum(mpf(c.numerator) / c.denominator * mp.zeta(1 + s_mp + i, upto + 1)
-                                        for i, c in enumerate(coeffs))
-                    assert abs(tail - exact) <= mp.ldexp(abs(exact), 3 * order - 300), (upto, s)
+        for upto, s, coeffs in self._inputs(order):
+            with mp.workprec(300):
+                s_mp = mpf(s.numerator) / s.denominator
+                tail = self._fit(self._model_terms(coeffs, s_mp, upto), upto, s, order)
+                with mp.workprec(400):
+                    exact = mp.fsum(mpf(c.numerator) / c.denominator * mp.zeta(1 + s_mp + i, upto + 1)
+                                    for i, c in enumerate(coeffs))
+                assert abs(tail - exact) <= mp.ldexp(abs(exact), 3 * order - 300), (upto, s)
+
+    @pytest.mark.parametrize("order", [3, 5, 10, 12])
+    def test_rounding_stays_inside_the_working_margin(self, order):
+        # the unit-argument sum works 25 digits (83 bits) above the request;
+        # at its default working precision the fit must lose at most 2^40
+        # ulps (2^30 measured at order 12) against the same fit 1000 bits wider
+        for upto, s, coeffs in self._inputs(order):
+            with mp.workdps(50 + 25):
+                terms = self._model_terms(coeffs, mpf(s.numerator) / s.denominator, upto)
+                tail = self._fit(terms, upto, s, order)
+                with mp.workprec(mp.prec + 1000):
+                    wide = self._fit(terms, upto, s, order)
+                assert abs(tail - wide) <= mp.ldexp(abs(wide), 40 - mp.prec), (upto, s)
 
     def test_unit_argument_needs_no_linear_solve(self, monkeypatch):
         def refuse(*args, **kwargs):
