@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import PreconditionError
 
@@ -203,15 +203,33 @@ def sigma_coefficients(pp: ParamPairs) -> list[Fraction]:
     return [Fraction(c, denominator) for c in coeffs]
 
 
+def _divide_linear(coeffs: Sequence[int], root: int) -> tuple[list[int], int]:
+    """(quotient, remainder) of the ascending integer polynomial ``coeffs``
+    divided by t - root, by synthetic division from the highest power down."""
+    carry, out = 0, []
+    for c in reversed(coeffs):
+        carry = c + root * carry
+        out.append(carry)
+    remainder = out.pop()
+    return out[::-1], remainder
+
+
 def _c_numerators(pp: ParamPairs) -> tuple[list[int], int]:
     """Integers n_0..n_m and L with C_k = n_k / L (see :func:`c_coefficients`).
 
     n_k = sum_{j>=k} sigma_j S(j, k) over the integer coefficients sigma_j of
     :func:`_rising_product`, and L = sigma_0: their common denominator cancels.
+    Since x^j = sum_k S(j, k) x(x-1)...(x-k+1), the n_k are sigma's
+    coefficients in the falling-factorial basis, read without Stirling
+    numbers: n_k is the remainder of the k-th quotient divided by x - k,
+    O(m^2) products of an integer by k in all.
     """
     m = pp.total_shift
     sigma, _ = _rising_product(pp.pairs)
-    numerators = [sum(sigma[j] * stirling2(j, k) for j in range(k, m + 1)) for k in range(m + 1)]
+    numerators, quotient = [], sigma
+    for k in range(m + 1):
+        quotient, remainder = _divide_linear(quotient, k)
+        numerators.append(remainder)
     return numerators, sigma[0]
 
 

@@ -20,8 +20,8 @@ from .errors import (
     ConditionCheck, NonConvergenceError, PreconditionError, enforce, positive_tolerance,
 )
 from .exact import (
-    ParamPairs, RationalLike, _c_numerators, _rising_numerators, _rising_product, as_rational,
-    pochhammer_vanishes,
+    ParamPairs, RationalLike, _c_numerators, _divide_linear, _rising_numerators, _rising_product,
+    as_rational, pochhammer_vanishes,
 )
 
 
@@ -111,6 +111,8 @@ class RationalPolynomial:
 
 def rising_factorial_poly(offset: RationalLike, count: int) -> RationalPolynomial:
     """The polynomial (t + offset)(t + offset + 1)...(count factors)."""
+    if count < 0:
+        raise ValueError("rising factorial needs count >= 0")
     coeffs, denominator = _rising_product([(as_rational(offset), count)])
     return RationalPolynomial(Fraction(c, denominator) for c in coeffs)
 
@@ -120,11 +122,19 @@ def _rising_sum(numerators: Sequence[int], denominator: int, offset: int = 0) ->
 
     The offset is an integer, so every row (t+offset)_j has integer
     coefficients and the sum stays in integers up to the one division.
+    Only the top row (t+offset)_n is expanded; each row below it is the one
+    above divided by its monic factor t + offset + j, an exact synthetic
+    division, so the change of basis is O(n^2) integer operations.
     """
-    out = [0] * len(numerators)
-    for j, h in enumerate(numerators):
-        for i, c in enumerate(rising_factorial_poly(offset, j).coefficients):
-            out[i] += h * c.numerator
+    n = len(numerators) - 1
+    row = [c.numerator for c in rising_factorial_poly(offset, n).coefficients]
+    out = [0] * (n + 1)
+    for j in range(n, -1, -1):
+        h = numerators[j]
+        for i, c in enumerate(row):
+            out[i] += h * c
+        if j:
+            row, _ = _divide_linear(row, -(offset + j - 1))
     return RationalPolynomial(Fraction(c, denominator) for c in out)
 
 
@@ -221,9 +231,10 @@ def build_Q(pp: ParamPairs, b: RationalLike, c: RationalLike) -> RationalPolynom
     and (L)_m = (L)_k (L+k)_{m-k}, so the scalar of (t)_j is
         h_j = sum_{k+i=j} C_k (b)_k (-1)^i C(m-k, i) / (L)_j.
     ``_rising_scalars`` forms every h_j over one integer denominator and
-    ``_rising_sum`` changes to monomials in integers, so no Fraction is
-    built before the coefficients.  The cbm check rules out every divisor
-    L + j (j < m).
+    ``_rising_sum`` changes to monomials in integers, expanding only the
+    top row (t)_m and dividing its way down, so both steps are O(m^2) and no
+    Fraction is built before the coefficients.  The cbm check rules out
+    every divisor L + j (j < m).
     """
     b, c = as_rational(b), as_rational(c)
     enforce(q_conditions(pp, b, c))

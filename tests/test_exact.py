@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from thomae.errors import PreconditionError
 from thomae.exact import (
     ParamPairs,
+    _divide_linear,
     _rising_numerators,
     as_rational,
     c_coefficients,
@@ -151,6 +152,23 @@ class TestStirling2:
         assert stirling2(0, 0) == 1
 
 
+def test_divide_linear():
+    # (t - 2)(3 t^2 - t + 5) + 7 = 3 t^3 - 7 t^2 + 7 t - 3
+    assert _divide_linear([-3, 7, -7, 3], 2) == ([5, -1, 3], 7)
+    assert _divide_linear([4], 9) == ([], 4)
+    rng = random.Random(8)
+    for _ in range(50):
+        coeffs = [rng.randint(-99, 99) for _ in range(rng.randint(1, 8))]
+        root = rng.randint(-9, 9)
+        quotient, remainder = _divide_linear(coeffs, root)
+        times = [0] * len(coeffs)  # quotient * (t - root) + remainder
+        for i, q in enumerate(quotient):
+            times[i + 1] += q
+            times[i] -= root * q
+        times[0] += remainder
+        assert times == coeffs
+
+
 class TestParamPairs:
     def test_empty_is_first_class(self):
         pp = ParamPairs()
@@ -233,6 +251,19 @@ class TestCCoefficients:
     def test_quadratic_example(self):
         pp = ParamPairs([(Fraction(1, 2), 2)])
         assert c_coefficients(pp) == [Fraction(1), Fraction(4), Fraction(4, 3)]
+
+    def test_stirling_definition(self):
+        # C_k = (1/L) sum_{j>=k} sigma_j S(j, k): the definition, which the
+        # code reaches by division instead; total shift up to 30
+        rng = random.Random(30)
+        top = ParamPairs([(Fraction(1, 3), 10), (Fraction(2, 7), 10), (Fraction(5, 4), 10)])
+        for pp in [top] + [_random_pairs(rng, max_r=3, max_shift=10) for _ in range(60)]:
+            m, sigma = pp.total_shift, sigma_coefficients(pp)
+            expected = [
+                sum(sigma[j] * stirling2(j, k) for j in range(k, m + 1)) / pp.poch_product
+                for k in range(m + 1)
+            ]
+            assert c_coefficients(pp) == expected
 
     def test_single_pair_closed_form(self):
         # for one pair, C_k = binom(m, k) / (f)_k

@@ -16,6 +16,7 @@ from thomae.polynomials import (
     RationalPolynomial,
     _float_coefficients,
     _polygon_starts,
+    _rising_sum,
     build_G,
     build_Q,
     build_Qhat,
@@ -72,6 +73,45 @@ class TestRationalPolynomial:
             p = rising_factorial_poly(offset, 6)
             for t in (F(0), F(-3), F(2, 9)):
                 assert p.evaluate(t) == pochhammer(t + offset, 6)
+
+    def test_negative_count_rejected(self):
+        for offset in (0, 3, F(1, 2), F(-5, 7)):
+            with pytest.raises(ValueError, match="rising factorial needs count >= 0"):
+                rising_factorial_poly(offset, -1)
+
+
+class TestRisingSum:
+    def test_matches_row_by_row_definition(self):
+        # sum_j h_j (t+offset)_j / E with every row expanded on its own; the
+        # offsets above 0 are build_G's
+        rng = random.Random(30)
+        for _ in range(400):
+            n, offset = rng.randint(0, 24), rng.randint(0, 12)
+            h = [rng.randint(-(10 ** rng.randint(0, 40)), 10 ** rng.randint(0, 40))
+                 for _ in range(n + 1)]
+            denominator = rng.randint(1, 10**12)
+            out = [F(0)] * (n + 1)
+            for j, hj in enumerate(h):
+                for i, c in enumerate(rising_factorial_poly(offset, j).coefficients):
+                    out[i] += hj * c
+            expected = RationalPolynomial(c / denominator for c in out)
+            assert _rising_sum(h, denominator, offset) == expected
+
+    def test_one_expansion_per_weight_polynomial(self, monkeypatch):
+        # only the top row is expanded; the rows below it come by division
+        calls = []
+
+        def counted(offset, count):
+            calls.append((offset, count))
+            return rising_factorial_poly(offset, count)
+
+        monkeypatch.setattr("thomae.polynomials.rising_factorial_poly", counted)
+        pp = ParamPairs([(F(1, 3), 4), (F(2, 7), 3)])
+        for build in (lambda: build_Q(pp, B, C), lambda: build_Qhat(pp, A, B, C),
+                      lambda: build_G(7, 2, A, B, C)):
+            calls.clear()
+            build()
+            assert len(calls) == 1, calls
 
 
 class TestBuildG:

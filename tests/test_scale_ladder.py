@@ -45,6 +45,12 @@ def _exact_value_printed(out: str) -> None:
 # (name, argv, check of stdout, limit in seconds), with the measured time beside it
 RUNGS = [
     (
+        "thomae_terminating_m512",
+        ["verify", "--case", _case("thomae_terminating", (("1/3", 256), ("2/7", 256)),
+                                   n=4, b="5/2", d="2/7", c="3/2", e="9/2")],
+        _verify_passes, 8.0,  # 2.0 s
+    ),
+    (
         "thomae_m256",
         ["verify", "--case", _case("thomae", (("1/3", 128), ("2/7", 128)),
                                    a="1/4", b="5/3", d="1", c="3/2", e="260")],
