@@ -15,11 +15,9 @@ from .exact import (
     as_rational,
     c_coefficients,
     c_via_terminating_series,
-    falling_factorial,
     pochhammer,
     pochhammer_product,
     sigma_coefficients,
-    stirling2,
 )
 from .polynomials import (
     RationalPolynomial,
@@ -95,7 +93,6 @@ __all__ = [
     "euler2",
     "eval_numeric",
     "eval_terminating",
-    "falling_factorial",
     "find_zeros",
     "gamma_ratio",
     "generate_cases",
@@ -103,7 +100,6 @@ __all__ = [
     "pochhammer",
     "pochhammer_product",
     "sigma_coefficients",
-    "stirling2",
     "terminating_sweep",
     "thomae",
     "thomae_terminating",

@@ -427,10 +427,21 @@ def run_verify(config: dict) -> dict:
     return outputs
 
 
+# The text report prints a case's description up to this many characters:
+# a weight of high degree would fill the line (1.4 MB at m = 512).  The
+# --json report keeps every description whole.
+DESCRIPTION_CHARS = 400
+
+
 def _render_verify(outputs: dict) -> list[str]:
     lines = []
     for i, case in enumerate(outputs["cases"]):
         label = case.get("label", case["description"])
+        if len(label) > DESCRIPTION_CHARS:
+            label = (
+                f"{label[:DESCRIPTION_CHARS]}... (+{len(label) - DESCRIPTION_CHARS}"
+                " characters; the full description is in --json)"
+            )
         lines.append(
             f"case {i:03d} [{label}]: {case['verdict']}"
             f" discrepancy={case['discrepancy']} allowed={case['combined_tolerance']}"

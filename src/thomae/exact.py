@@ -1,10 +1,9 @@
 """Exact rational building blocks.
 
-Rising factorials, the hypergeometric term ratio, Stirling numbers of the
-second kind, and the coefficient family attached to a list of parameter
-pairs whose members differ by positive integers.  Everything in this module
-is computed over the integers or ``fractions.Fraction``, with no rounding
-anywhere.
+Rising factorials, the hypergeometric term ratio, synthetic division, and
+the coefficient family attached to a list of parameter pairs whose members
+differ by positive integers.  Everything in this module is computed over
+the integers or ``fractions.Fraction``, with no rounding anywhere.
 """
 
 from __future__ import annotations
@@ -95,37 +94,6 @@ def term_ratios(
     return zip(map(math.prod, num_factors), map(math.prod, den_factors))
 
 
-def falling_factorial(x: RationalLike, k: int) -> Fraction:
-    """Descending factorial x(x-1)...(x-k+1)."""
-    if k < 0:
-        raise ValueError("descending factorial needs k >= 0")
-    return (-1) ** k * pochhammer(-as_rational(x), k)  # x(x-1)... = (-1)^k (-x)(-x+1)...
-
-
-_STIRLING_ROWS: list[list[int]] = [[1]]
-
-
-def stirling2(j: int, k: int) -> int:
-    """Stirling number of the second kind S(j, k).
-
-    Computed row by row from S(j,k) = k*S(j-1,k) + S(j-1,k-1) with
-    S(0,0) = 1; rows are cached for reuse.
-    """
-    if j < 0 or k < 0:
-        raise ValueError("Stirling indices must be nonnegative")
-    if k > j:
-        return 0
-    while len(_STIRLING_ROWS) <= j:
-        prev = _STIRLING_ROWS[-1]
-        n = len(_STIRLING_ROWS)
-        row = [0] * (n + 1)
-        for i in range(1, n + 1):
-            above = prev[i] if i < n else 0
-            row[i] = i * above + prev[i - 1]
-        _STIRLING_ROWS.append(row)
-    return _STIRLING_ROWS[j][k]
-
-
 @dataclass(frozen=True)
 class ParamPairs:
     """The base parameters and positive-integer offsets of the shifted pairs.
@@ -156,10 +124,6 @@ class ParamPairs:
                 )
             normalized.append((f, shift))
         object.__setattr__(self, "pairs", tuple(normalized))
-
-    @property
-    def r(self) -> int:
-        return len(self.pairs)
 
     @property
     def total_shift(self) -> int:
@@ -203,9 +167,10 @@ def sigma_coefficients(pp: ParamPairs) -> list[Fraction]:
     return [Fraction(c, denominator) for c in coeffs]
 
 
-def _divide_linear(coeffs: Sequence[int], root: int) -> tuple[list[int], int]:
-    """(quotient, remainder) of the ascending integer polynomial ``coeffs``
-    divided by t - root, by synthetic division from the highest power down."""
+def _divide_linear(coeffs: Sequence[Fraction], root: Fraction) -> tuple[list[Fraction], Fraction]:
+    """(quotient, remainder) of the ascending polynomial ``coeffs`` divided by
+    t - root, by synthetic division from the highest power down.  Exact over
+    the integers, as the builders call it, and over the rationals."""
     carry, out = 0, []
     for c in reversed(coeffs):
         carry = c + root * carry

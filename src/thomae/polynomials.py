@@ -79,19 +79,12 @@ class RationalPolynomial:
         Raises ValueError if ``root`` is not actually a zero.
         """
         root = as_rational(root)
-        coeffs = self.coefficients
-        if len(coeffs) < 2:
+        if self.degree < 1:
             raise ValueError("cannot deflate a constant polynomial")
-        out = [Fraction(0)] * (len(coeffs) - 1)
-        carry = coeffs[-1]
-        for i in range(len(coeffs) - 2, 0, -1):
-            out[i] = carry
-            carry = coeffs[i] + carry * root
-        out[0] = carry
-        remainder = coeffs[0] + carry * root
+        quotient, remainder = _divide_linear(self.coefficients, root)
         if remainder != 0:
             raise ValueError(f"{root} is not a root (remainder {remainder})")
-        return RationalPolynomial(out)
+        return RationalPolynomial(quotient)
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -4,6 +4,7 @@ round-trips, determinism, and exit codes."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -320,6 +321,31 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--case", json.dumps(case)]) == 0
         out = capsys.readouterr().out
         assert ": pass " in out and "1/1 passed" in out
+
+    # (shift of each pair, whether the description passes the cap, SHA-256 of
+    # the --json report recorded before the text report capped descriptions);
+    # m = 8 is the least total shift of this family that passes the cap
+    @pytest.mark.parametrize("shift, capped, json_digest", [
+        (3, False, "12bda2c3fdccc2795ca3c32ad3d1f41e261e6757957ffe5377715d40e1c01bc9"),
+        (4, True, "3cc9c7d5649dc5e613a8e3bac66744fb8d1fc81e760255ba17f4408c5fa5804b"),
+    ])
+    def test_text_report_caps_the_description(self, shift, capped, json_digest, capsys):
+        case = json.dumps({
+            "kind": "thomae_terminating", "n": 4, "b": "5/2", "d": "2/7", "c": "3/2",
+            "e": "9/2", "pairs": [["1/3", shift], ["2/7", shift]],
+        })
+        assert cli.main(["verify", "--case", case, "--json"]) == 0
+        report = capsys.readouterr().out
+        assert hashlib.sha256(report.encode()).hexdigest() == json_digest
+        description = json.loads(report)["outputs"]["cases"][0]["description"]
+        assert cli.main(["verify", "--case", case]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        cap = cli.DESCRIPTION_CHARS
+        assert (len(description) > cap) == capped
+        if capped:
+            description = (f"{description[:cap]}... (+{len(description) - cap} characters;"
+                           " the full description is in --json)")
+        assert line == f"case 000 [{description}]: pass discrepancy=0 allowed=0"
 
     @pytest.mark.parametrize("strict, code", [(False, 0), (True, 1)])
     def test_inconclusive_exit_code(self, strict, code, capsys):

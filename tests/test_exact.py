@@ -1,5 +1,6 @@
-"""Exact-arithmetic layer: rising factorials, Stirling numbers, and the
-pair-expansion coefficients, cross-checked against independent routes."""
+"""Exact-arithmetic layer: rising factorials, synthetic division, and the
+pair-expansion coefficients, cross-checked against independent routes,
+among them the Stirling-number definition of the coefficients."""
 
 from __future__ import annotations
 
@@ -20,14 +21,37 @@ from thomae.exact import (
     as_rational,
     c_coefficients,
     c_via_terminating_series,
-    falling_factorial,
     pochhammer,
     pochhammer_product,
     pochhammer_vanishes,
     sigma_coefficients,
-    stirling2,
     term_ratios,
 )
+
+_STIRLING_ROWS: list[list[int]] = [[1]]
+
+
+def stirling2(j: int, k: int) -> int:
+    """Stirling number of the second kind S(j, k): the reference that
+    :func:`c_coefficients` is checked against.
+
+    Computed row by row from S(j,k) = k*S(j-1,k) + S(j-1,k-1) with
+    S(0,0) = 1; rows are cached for reuse.
+    """
+    if j < 0 or k < 0:
+        raise ValueError("Stirling indices must be nonnegative")
+    if k > j:
+        return 0
+    while len(_STIRLING_ROWS) <= j:
+        prev = _STIRLING_ROWS[-1]
+        n = len(_STIRLING_ROWS)
+        row = [0] * (n + 1)
+        for i in range(1, n + 1):
+            above = prev[i] if i < n else 0
+            row[i] = i * above + prev[i - 1]
+        _STIRLING_ROWS.append(row)
+    return _STIRLING_ROWS[j][k]
+
 
 nonzero_fractions = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=8
@@ -141,10 +165,7 @@ class TestStirling2:
         # sum_k S(j,k) x(x-1)...(x-k+1) == x^j
         for j in range(7):
             for x in range(7):
-                total = sum(
-                    stirling2(j, k) * falling_factorial(x, k) for k in range(j + 1)
-                )
-                assert total == Fraction(x) ** j
+                assert sum(stirling2(j, k) * math.perm(x, k) for k in range(j + 1)) == x**j
 
     def test_out_of_range(self):
         assert stirling2(2, 5) == 0
@@ -172,7 +193,7 @@ def test_divide_linear():
 class TestParamPairs:
     def test_empty_is_first_class(self):
         pp = ParamPairs()
-        assert pp.r == 0
+        assert len(pp.pairs) == 0
         assert pp.total_shift == 0
         assert pp.poch_product == 1
         assert pp.numerator_parameters() == ()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from thomae.errors import NonConvergenceError, PreconditionError
-from thomae.exact import ParamPairs, c_coefficients, pochhammer
+from thomae.exact import ParamPairs, _divide_linear, c_coefficients, pochhammer
 from thomae.polynomials import (
     RationalPolynomial,
     _float_coefficients,
@@ -40,6 +40,18 @@ def _random_nondegenerate(rng, avoid_integer_c=True):
     return a, b, c
 
 
+def _old_divide_by_root(coeffs, root):
+    """(quotient, remainder) by the Fraction loop that ``divide_by_root`` ran
+    before it shared ``exact._divide_linear``: the reference for it."""
+    out = [F(0)] * (len(coeffs) - 1)
+    carry = coeffs[-1]
+    for i in range(len(coeffs) - 2, 0, -1):
+        out[i] = carry
+        carry = coeffs[i] + carry * root
+    out[0] = carry
+    return out, coeffs[0] + carry * root
+
+
 class TestRationalPolynomial:
     def test_trailing_zeros_stripped(self):
         p = RationalPolynomial([1, 2, 0, 0])
@@ -58,9 +70,29 @@ class TestRationalPolynomial:
         with pytest.raises(ValueError):
             p.divide_by_root(F(7))
 
+    def test_divide_by_root_is_the_shared_division(self):
+        # random Fraction coefficients and roots: mostly non-roots, and each
+        # polynomial once more multiplied by t - root
+        rng = random.Random(31)
+        draw = lambda: F(rng.randint(-40, 40), rng.randint(1, 9))  # noqa: E731
+        for _ in range(200):
+            coeffs = [draw() for _ in range(rng.randint(1, 8))] + [draw() or F(1)]
+            root = draw()
+            quotient, remainder = _old_divide_by_root(coeffs, root)
+            assert _divide_linear(coeffs, root) == (quotient, remainder)
+            if remainder:
+                with pytest.raises(ValueError) as err:
+                    RationalPolynomial(coeffs).divide_by_root(root)
+                assert str(err.value) == f"{root} is not a root (remainder {remainder})"
+            times = [low - root * high for low, high in zip([F(0)] + coeffs, coeffs + [F(0)])]
+            assert _divide_linear(times, root) == _old_divide_by_root(times, root) == (coeffs, 0)
+            assert RationalPolynomial(times).divide_by_root(root) == RationalPolynomial(coeffs)
+
     def test_constant_and_zero_polynomials(self):
-        with pytest.raises(ValueError):
-            RationalPolynomial([3]).divide_by_root(1)
+        for constant in ([3], [F(-5, 7)], []):
+            with pytest.raises(ValueError) as err:
+                RationalPolynomial(constant).divide_by_root(1)
+            assert str(err.value) == "cannot deflate a constant polynomial"
         assert str(RationalPolynomial()) == "0"
         assert str(RationalPolynomial([F(1, 2), 0, -3])) == "1/2 - 3*t^2"
 
